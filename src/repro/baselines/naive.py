@@ -17,7 +17,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.compiler import (
     apply_aggregation,
     compile_rule_body,
-    normalize_edb,
+    load_relations,
     project_head,
 )
 from repro.datalog.analyzer import AnalyzedProgram, analyze as analyze_program
@@ -42,24 +42,7 @@ class NaiveEngine:
             else analyze_program(program_or_analyzed)
         )
         self.iterations = {}
-        rels: dict[str, DataFrame] = {}
-        for pred in analyzed.edbs:
-            rels[pred] = normalize_edb(edb[pred], analyzed.arities[pred]).localCheckpoint()
-        edb_types = {
-            p: tuple(
-                "double" if t in ("double", "float") else "long"
-                for _, t in rels[p].dtypes
-            )
-            for p in analyzed.edbs
-        }
-        types = analyzed.infer_types(edb_types)
-        for pred in analyzed.idbs:
-            schema = ", ".join(
-                f"c{i} {'DOUBLE' if types[pred][i] == 'double' else 'BIGINT'}"
-                for i in range(analyzed.arities[pred])
-            )
-            rels[pred] = self.spark.createDataFrame([], schema)
-
+        rels, types = load_relations(self.spark, analyzed, edb)
         for stratum in analyzed.strata:
             preds = sorted(stratum.predicates)
             while True:

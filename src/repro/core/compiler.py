@@ -17,6 +17,9 @@ A rule body compiles to a left-to-right join pipeline:
   expression (grouping happens in the engine, which owns set-vs-meld
   semantics).
 
+:func:`load_relations` sets up an evaluation's starting relations and
+column types, the same way for every engine built on this compiler.
+
 OOF hook: when a :class:`~repro.core.stats.StatsCollector` with fresh
 row counts is supplied, the small side of each join is broadcast-hinted
 — Catalyst's equivalent of choosing the hash build side with up-to-date
@@ -24,10 +27,11 @@ statistics. Without statistics (OOF-NA) the plan is static.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.stats import StatsCollector
+from repro.datalog.analyzer import AnalyzedProgram
 from repro.datalog.ast import (
     AggTerm,
     Atom,
@@ -54,6 +58,30 @@ def normalize_edb(df: DataFrame, arity: int) -> DataFrame:
     if len(df.columns) != arity:
         raise CompileError(f"expected {arity} columns, got {df.columns}")
     return df.toDF(*positional_columns(arity)).dropDuplicates()
+
+
+def empty_relation(spark: SparkSession, types: tuple[str, ...]) -> DataFrame:
+    """An empty relation with positional columns of the given type names."""
+    schema = ", ".join(f"c{i} {_spark_type(t)}" for i, t in enumerate(types))
+    return spark.createDataFrame([], schema)
+
+
+def load_relations(
+    spark: SparkSession, analyzed: AnalyzedProgram, edb: dict[str, DataFrame]
+) -> tuple[dict[str, DataFrame], dict[str, tuple[str, ...]]]:
+    """The starting relations of an evaluation and every relation's
+    column types: each EDB normalized and checkpointed, each IDB empty."""
+    rels: dict[str, DataFrame] = {}
+    for pred in analyzed.edbs:
+        if pred not in edb:
+            raise ValueError(f"missing EDB relation {pred!r}")
+        rels[pred] = normalize_edb(edb[pred], analyzed.arities[pred]).localCheckpoint()
+    types = analyzed.infer_types({
+        p: tuple(_type_name(t) for _, t in rels[p].dtypes) for p in analyzed.edbs
+    })
+    for pred in analyzed.idbs:
+        rels[pred] = empty_relation(spark, types[pred])
+    return rels, types
 
 
 def _atom_plan(atom: Atom, rel: DataFrame) -> DataFrame:
@@ -205,18 +233,12 @@ def project_head(
     """
     if body is None:
         assert spark is not None, "fact rules need a SparkSession"
-        row = {}
+        cols = []
         for pos, term in enumerate(rule.head.terms):
             if not isinstance(term, Const):
                 raise CompileError(f"fact rule with non-constant head: {rule}")
-            row[f"c{pos}"] = term.value
-        import pandas as pd
-
-        body = spark.createDataFrame(pd.DataFrame([row]))
-        return body.select(
-            *[F.col(f"c{i}").cast(_spark_type(types[i])).alias(f"c{i}")
-              for i in range(rule.head.arity)]
-        )
+            cols.append(F.lit(term.value).cast(_spark_type(types[pos])).alias(f"c{pos}"))
+        return spark.range(1).select(*cols)
     available = set(body.columns)
     cols = []
     for pos, term in enumerate(rule.head.terms):
@@ -237,6 +259,13 @@ def project_head(
 
 def _spark_type(name: str) -> str:
     return {"long": "bigint", "double": "double", "string": "string"}[name]
+
+
+def _type_name(spark_type: str) -> str:
+    """The analyzer's type name for a Spark column type."""
+    if spark_type in ("double", "float"):
+        return "double"
+    return "string" if spark_type == "string" else "long"
 
 
 _AGG_FN = {

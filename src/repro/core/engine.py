@@ -1,21 +1,32 @@
 """The RecStep interpreter: Algorithm 1 of the paper on Spark SQL.
 
-Per stratum (in stratification order), semi-naive evaluation:
+Each stratum (in stratification order) runs one semi-naive loop:
 
     repeat
       for each IDB R in the stratum:
         R_t  <- uieval(rules(R, s))        # UIE: one unioned plan
-        analyze(R_t)                       # OOF breakpoint
         Rδ   <- dedup(R_t)                 # FAST-DEDUP
         analyze(Rδ, R)                     # OOF breakpoint
         ΔR   <- Rδ - R                     # DSD: OPSD or TPSD
         R    <- R ∪ ΔR
     until ∀R: ΔR = ∅
 
-plus the EOST materialization policy (in-memory ``localCheckpoint`` vs
-per-iteration Parquet commit), MIN/MAX meld semantics for recursive
-aggregation (CC/SSSP), and the PBME fast path for TC/SG-shaped programs
-(Section 5.3).
+The first round runs every rule of each IDB over the current relations;
+R is still empty, so R = ΔR = Rδ and no set difference runs. Each later
+round runs the Δ-rewrites: one subquery per same-stratum body atom whose
+Δ is non-empty. A non-recursive stratum is the loop stopping after its
+first round. The per-IDB step has two variants:
+
+- *set*: the step above;
+- *meld*: a MIN/MAX aggregate inside a recursive stratum (CC, SSSP)
+  keeps one row per group with the running best. ΔR is the candidate
+  groups that improve on R, and R ∪ ΔR replaces the improved groups —
+  the monotonic-aggregate semantics of BigDatalog [12].
+
+Other aggregate IDBs live in non-recursive strata and are grouped after
+dedup. Around the loop sit the EOST materialization policy (in-memory
+``localCheckpoint`` vs per-iteration Parquet commit) and the PBME fast
+path for TC/SG-shaped programs (Section 5.3).
 
 Spark specifics: every per-iteration state frame is materialized with a
 truncated lineage (``localCheckpoint``) so plans do not grow across
@@ -36,7 +47,8 @@ from repro.core import pbme
 from repro.core.compiler import (
     apply_aggregation,
     compile_rule_body,
-    normalize_edb,
+    empty_relation,
+    load_relations,
     positional_columns,
     project_head,
 )
@@ -45,7 +57,7 @@ from repro.core.options import RecStepOptions
 from repro.core.setdiff import choose_set_difference, set_difference
 from repro.core.stats import StatsCollector
 from repro.datalog.analyzer import AnalyzedProgram, Stratum, analyze as analyze_program
-from repro.datalog.ast import Program, Rule
+from repro.datalog.ast import Program
 
 
 @dataclass
@@ -56,7 +68,20 @@ class EngineMetrics:
     setdiff_choices: list[str] = field(default_factory=list)
     analyze_calls: int = 0
     pbme_used: bool = False
-    final_counts: dict[str, int] = field(default_factory=dict)
+
+
+@dataclass
+class _Evaluation:
+    """The state of one ``evaluate`` call."""
+
+    analyzed: AnalyzedProgram
+    rels: dict[str, DataFrame]
+    types: dict[str, tuple[str, ...]]
+    stats: StatsCollector
+    #: FAST-DEDUP's packing bound per IDB (``None``: generic dedup)
+    bounds: dict[str, int | None]
+    #: DSD's μ per IDB, fed back from the previous round's set difference
+    mu: dict[str, float | None] = field(default_factory=dict)
 
 
 class RecStepEngine:
@@ -86,80 +111,47 @@ class RecStepEngine:
         opts = self.options
         stats = StatsCollector(opts.oof)
 
-        rels: dict[str, DataFrame] = {}
-        edb_max_value: int | None = 0
+        rels, types = load_relations(self.spark, analyzed, edb)
+        edb_bound: int | None = 0
         for pred in analyzed.edbs:
-            if pred not in edb:
-                raise ValueError(f"missing EDB relation {pred!r}")
-            df = normalize_edb(edb[pred], analyzed.arities[pred]).localCheckpoint()
-            rels[pred] = df
-            stats.record(pred, df.count())
-            bound = _domain_bound(df)
-            if bound is None or edb_max_value is None:
-                edb_max_value = None  # negative ids: compact key unusable
+            stats.record(pred, rels[pred].count())
+            bound = _domain_bound(rels[pred])
+            if bound is None or edb_bound is None:
+                edb_bound = None  # negative ids: compact key unusable
             else:
-                edb_max_value = max(edb_max_value, bound)
-        self._edb_max_value = edb_max_value
+                edb_bound = max(edb_bound, bound)
 
-        edb_types = {
-            p: tuple(
-                "double" if t in ("double", "float") else ("string" if t == "string" else "long")
-                for _, t in rels[p].dtypes
-            )
-            for p in analyzed.edbs
-        }
-        types = analyzed.infer_types(edb_types)
+        # PBME fast path (Section 5.3): TC/SG-shaped program over a
+        # small enough active domain of integer ids.
+        shape = pbme.match_program(analyzed) if opts.pbme and edb_bound is not None else None
+        if (
+            shape is not None
+            and edb_bound + 1 <= opts.pbme_max_vertices
+            and set(types[shape.edb]) == {"long"}
+        ):
+            self.metrics.pbme_used = True
+            return pbme.evaluate(self.spark, shape, rels, n=edb_bound + 1)
 
-        if opts.eost:
-            self._commit_dir = None
-        else:
-            self._commit_dir = tempfile.mkdtemp(prefix="recstep_commits_")
-
+        for pred in analyzed.idbs:
+            stats.record(pred, 0)
+        ev = _Evaluation(analyzed, rels, types, stats, analyzed.value_bounds(edb_bound))
+        self._commit_dir = None if opts.eost else tempfile.mkdtemp(prefix="recstep_commits_")
         try:
-            # PBME fast path (Section 5.3): TC/SG-shaped program over a
-            # small enough active domain.
-            if opts.pbme and edb_max_value is not None:
-                shape = pbme.match_program(analyzed)
-                if shape is not None and edb_max_value + 1 <= opts.pbme_max_vertices:
-                    out = pbme.evaluate(
-                        self.spark, shape, rels, n=int(edb_max_value) + 1
-                    )
-                    self.metrics.pbme_used = True
-                    for pred, df in out.items():
-                        self.metrics.final_counts[pred] = df.count()
-                    return out
-
-            for pred in analyzed.idbs:
-                rels[pred] = self._empty(analyzed.arities[pred], types[pred])
-                stats.record(pred, 0)
-
             for stratum in analyzed.strata:
-                self._evaluate_stratum(analyzed, stratum, rels, stats, types)
-
+                self._evaluate_stratum(ev, stratum)
             self.metrics.analyze_calls = stats.analyze_calls
-            out = {}
-            for pred in analyzed.idbs:
-                df = rels[pred]
-                if not opts.eost:
-                    # The commit directory is deleted below; pin the final
-                    # result in memory before handing it back.
-                    df = df.localCheckpoint(eager=True)
-                out[pred] = df
-                self.metrics.final_counts[pred] = df.count()
-            return out
+            # EOST off: the commit directory is deleted below; pin the
+            # results in memory before handing them back.
+            return {
+                p: rels[p] if opts.eost else rels[p].localCheckpoint(eager=True)
+                for p in analyzed.idbs
+            }
         finally:
             if self._commit_dir is not None:
                 shutil.rmtree(self._commit_dir, ignore_errors=True)
                 self._commit_dir = None
 
     # -- helpers ---------------------------------------------------------
-    def _empty(self, arity: int, types: tuple[str, ...]) -> DataFrame:
-        schema = ", ".join(
-            f"c{i} {'DOUBLE' if types[i] == 'double' else 'BIGINT'}"
-            for i in range(arity)
-        )
-        return self.spark.createDataFrame([], schema)
-
     def _materialize(self, df: DataFrame, name: str) -> DataFrame:
         """EOST on: keep in memory; EOST off: commit to Parquet and read
         back — the per-query transaction I/O RecStep removes."""
@@ -170,12 +162,7 @@ class RecStepEngine:
         df.write.mode("overwrite").parquet(path)
         return self.spark.read.parquet(path)
 
-    def _uieval(
-        self,
-        parts: list[DataFrame],
-        arity: int,
-        types: tuple[str, ...],
-    ) -> DataFrame:
+    def _uieval(self, parts: list[DataFrame], types: tuple[str, ...]) -> DataFrame:
         """UNION ALL of the subqueries deriving one IDB.
 
         UIE on: a single lazy unioned plan, evaluated as one query (all
@@ -184,271 +171,153 @@ class RecStepEngine:
         with its own overhead), then the results are appended.
         """
         if not parts:
-            return self._empty(arity, types)
-        if self.options.uie:
-            out = parts[0]
-            for p in parts[1:]:
-                out = out.union(p)
-            return out
-        materialized = [self._materialize(p, "subquery") for p in parts]
-        out = materialized[0]
-        for p in materialized[1:]:
+            return empty_relation(self.spark, types)
+        if not self.options.uie:
+            parts = [self._materialize(p, "subquery") for p in parts]
+        out = parts[0]
+        for p in parts[1:]:
             out = out.union(p)
         return out
 
-    def _dedup(self, df: DataFrame) -> DataFrame:
-        return dedup(
-            df,
-            fast=self.options.fast_dedup,
-            max_value=self._edb_max_value if self.options.fast_dedup else None,
-        )
-
-    def _set_diff(
-        self,
-        new: DataFrame,
-        full: DataFrame,
-        *,
-        full_rows: int | None,
-        new_rows: int | None,
-        mu_prev: float | None,
-    ) -> DataFrame:
-        opts = self.options
-        if opts.dsd and full_rows is not None and new_rows is not None:
-            decision = choose_set_difference(full_rows, new_rows, opts.alpha, mu_prev)
-            method = decision.method
-        else:
-            method = opts.static_setdiff
-        self.metrics.setdiff_choices.append(method)
-        return set_difference(
-            new,
-            full,
-            method=method,
-            broadcast_threshold_rows=opts.broadcast_rows,
-            new_rows=new_rows,
-        )
-
-    # -- rule evaluation --------------------------------------------------
-    def _eval_rules_full(
-        self,
-        analyzed: AnalyzedProgram,
-        pred: str,
-        rels: dict[str, DataFrame],
-        stats: StatsCollector,
-        types: dict[str, tuple[str, ...]],
+    def _subqueries(
+        self, ev: _Evaluation, pred: str, deltas: dict[str, DataFrame] | None
     ) -> list[DataFrame]:
-        """All rules for ``pred`` with current relation values (used for
-        non-recursive strata and for iteration 0 of recursive strata)."""
+        """The subqueries deriving ``pred``: one per rule, or with
+        ``deltas`` the semi-naive Δ-rewrites — one per body atom whose
+        relation has a Δ (the union-of-subqueries construction of
+        Section 3.2 / Figure 4)."""
         parts = []
-        for rule in analyzed.program.rules_for(pred):
-            body = compile_rule_body(
-                rule, rels, stats=stats, broadcast_rows=self.options.broadcast_rows
-            )
-            parts.append(
-                project_head(rule, body, types=types[pred], spark=self.spark)
-            )
-        return parts
-
-    def _eval_rules_delta(
-        self,
-        analyzed: AnalyzedProgram,
-        stratum: Stratum,
-        pred: str,
-        rels: dict[str, DataFrame],
-        deltas: dict[str, DataFrame],
-        delta_counts: dict[str, int],
-        stats: StatsCollector,
-        types: dict[str, tuple[str, ...]],
-    ) -> list[DataFrame]:
-        """Semi-naive Δ-rewrites: one subquery per same-stratum body atom
-        (the union-of-subqueries construction of Section 3.2 / Figure 4)."""
-        parts = []
-        for rule in stratum.rules:
-            if rule.head.pred != pred:
-                continue
-            rec_positions = [
-                i
-                for i, a in enumerate(rule.positive_body)
-                if a.pred in stratum.predicates
-            ]
-            for i in rec_positions:
-                atom_pred = rule.positive_body[i].pred
-                if delta_counts.get(atom_pred) == 0:
-                    continue
+        for rule in ev.analyzed.program.rules_for(pred):
+            if deltas is None:
+                sites = [(None, None, None)]
+            else:
+                sites = [
+                    (i, deltas[a.pred], f"Δ{a.pred}")
+                    for i, a in enumerate(rule.positive_body)
+                    if a.pred in deltas
+                ]
+            for delta_idx, delta, delta_name in sites:
                 body = compile_rule_body(
                     rule,
-                    rels,
-                    delta_idx=i,
-                    delta=deltas[atom_pred],
-                    delta_name=f"Δ{atom_pred}",
-                    stats=stats,
+                    ev.rels,
+                    delta_idx=delta_idx,
+                    delta=delta,
+                    delta_name=delta_name,
+                    stats=ev.stats,
                     broadcast_rows=self.options.broadcast_rows,
                 )
                 parts.append(
-                    project_head(rule, body, types=types[pred], spark=self.spark)
+                    project_head(rule, body, types=ev.types[pred], spark=self.spark)
                 )
         return parts
 
-    # -- strata -------------------------------------------------------------
-    def _evaluate_stratum(
-        self,
-        analyzed: AnalyzedProgram,
-        stratum: Stratum,
-        rels: dict[str, DataFrame],
-        stats: StatsCollector,
-        types: dict[str, tuple[str, ...]],
-    ) -> None:
-        preds = sorted(stratum.predicates)
-        opts = self.options
-
-        if not stratum.recursive:
-            for pred in preds:
-                parts = self._eval_rules_full(analyzed, pred, rels, stats, types)
-                raw = self._uieval(parts, analyzed.arities[pred], types[pred])
-                if pred in analyzed.agg_specs:
-                    spec = analyzed.agg_specs[pred]
-                    pre = self._dedup(raw)
-                    out = apply_aggregation(
-                        pre,
-                        spec.group_positions,
-                        spec.agg_position,
-                        spec.op,
-                        out_type=types[pred][spec.agg_position],
-                    )
-                else:
-                    out = self._dedup(raw)
-                rels[pred] = self._materialize(out, pred)
-                stats.analyze(pred, rels[pred])
-                self.metrics.iterations[pred] = 1
-            return
-
-        # --- recursive stratum -------------------------------------------
+    # -- the semi-naive loop ---------------------------------------------
+    def _evaluate_stratum(self, ev: _Evaluation, stratum: Stratum) -> None:
+        """Algorithm 1's repeat loop over one stratum. ``deltas`` holds
+        the non-empty ΔR of each IDB, updated as each IDB's step runs."""
         deltas: dict[str, DataFrame] = {}
-        delta_counts: dict[str, int] = {}
-        mu_prev: dict[str, float | None] = {p: None for p in preds}
-
-        # Iteration 0: same-stratum IDBs are empty, so only exit rules
-        # contribute; R = ΔR = dedup(base facts).
-        for pred in preds:
-            parts = self._eval_rules_full(analyzed, pred, rels, stats, types)
-            raw = self._uieval(parts, analyzed.arities[pred], types[pred])
-            if pred in analyzed.meld_idbs:
-                spec = analyzed.agg_specs[pred]
-                best = apply_aggregation(
-                    raw,
-                    spec.group_positions,
-                    spec.agg_position,
-                    spec.op,
-                    out_type=types[pred][spec.agg_position],
+        first = True
+        while first or (stratum.recursive and deltas):
+            for pred in sorted(stratum.predicates):
+                parts = self._subqueries(ev, pred, None if first else deltas)
+                delta, rows = self._step(
+                    ev, pred, self._uieval(parts, ev.types[pred]),
+                    first=first, recursive=stratum.recursive,
                 )
-                rels[pred] = self._materialize(best, pred)
-                deltas[pred] = rels[pred]
-            else:
-                deduped = self._dedup(raw)
-                rels[pred] = self._materialize(deduped, pred)
-                deltas[pred] = rels[pred]
-            cnt = stats.analyze(pred, rels[pred])
-            delta_counts[pred] = cnt if cnt is not None else _count(deltas[pred])
-            # R = ΔR after iteration 0; make the size known even in
-            # OOF-NA mode (termination counting yields it for free, and
-            # DSD needs it regardless of the statistics mode).
-            stats.record(pred, delta_counts[pred])
-            stats.record(f"Δ{pred}", delta_counts[pred])
-            self.metrics.iterations[pred] = 1
-
-        while any(delta_counts[p] > 0 for p in preds):
-            for pred in preds:
-                parts = self._eval_rules_delta(
-                    analyzed, stratum, pred, rels, deltas, delta_counts, stats, types
-                )
-                raw = self._uieval(parts, analyzed.arities[pred], types[pred])
-                if pred in analyzed.meld_idbs:
-                    new_rel, delta = self._meld_step(analyzed, pred, rels[pred], raw, types)
-                    rels[pred] = new_rel
+                if rows:
                     deltas[pred] = delta
-                    delta_counts[pred] = _count(delta)
                 else:
-                    # analyze(R_t) -> dedup -> analyze(Rδ, R) -> ΔR = Rδ - R
-                    r_delta = self._dedup(raw)
-                    r_delta = self._materialize(r_delta, f"{pred}_rdelta")
-                    new_rows = stats.analyze(f"Rδ{pred}", r_delta)
-                    if new_rows is None:
-                        new_rows = _count(r_delta)
-                    full_rows = stats.rows(pred)
-                    delta = self._set_diff(
-                        r_delta,
-                        rels[pred],
-                        full_rows=full_rows,
-                        new_rows=new_rows,
-                        mu_prev=mu_prev[pred],
-                    )
-                    delta = self._materialize(delta, f"{pred}_delta")
-                    dcount = _count(delta)
-                    # μ = |Rδ| / |r| where r = Rδ ∩ R = Rδ - ΔR.
-                    overlap = new_rows - dcount
-                    mu_prev[pred] = (new_rows / overlap) if overlap > 0 else None
-                    if dcount > 0:
-                        rels[pred] = self._materialize(
-                            rels[pred].union(delta), pred
-                        )
-                        stats.record(
-                            pred, (stats.rows(pred) or 0) + dcount
-                        )
-                    deltas[pred] = delta
-                    delta_counts[pred] = dcount
-                stats.record(f"Δ{pred}", delta_counts[pred])
-                self.metrics.iterations[pred] += 1
+                    deltas.pop(pred, None)
+                self.metrics.iterations[pred] = self.metrics.iterations.get(pred, 0) + 1
+            first = False
 
-        self.metrics.analyze_calls = stats.analyze_calls
-
-    def _meld_step(
-        self,
-        analyzed: AnalyzedProgram,
-        pred: str,
-        current: DataFrame,
-        candidates_raw: DataFrame,
-        types: dict[str, tuple[str, ...]],
-    ) -> tuple[DataFrame, DataFrame]:
-        """MIN/MAX meld for recursive aggregation (CC, SSSP).
-
-        ΔR = candidate groups whose best value strictly improves on (or
-        is absent from) the current relation; R keeps one row per group
-        with the running best. This is the monotonic-aggregate semantics
-        of [12] the paper adopts for recursive aggregation.
-        """
-        spec = analyzed.agg_specs[pred]
-        val = f"c{spec.agg_position}"
-        group = [f"c{i}" for i in spec.group_positions]
-        cand = apply_aggregation(
-            candidates_raw,
-            spec.group_positions,
-            spec.agg_position,
-            spec.op,
-            out_type=types[pred][spec.agg_position],
-        )
-        old = current.withColumnRenamed(val, "__old")
-        joined = cand.join(old, on=group, how="left")
-        if spec.op == "MIN":
-            improved = joined.filter(
-                F.col("__old").isNull() | (F.col(val) < F.col("__old"))
+    def _step(
+        self, ev: _Evaluation, pred: str, raw: DataFrame, *, first: bool, recursive: bool
+    ) -> tuple[DataFrame, int | None]:
+        """Merge one round's candidates for ``pred`` into R; returns ΔR
+        and |ΔR|. |ΔR| is ``None`` only in a non-recursive stratum under
+        OOF-NA, where nothing needs it."""
+        opts, stats = self.options, ev.stats
+        spec = ev.analyzed.agg_specs.get(pred)
+        meld = pred in ev.analyzed.meld_idbs
+        cands = raw
+        if not meld:
+            cands = dedup(
+                raw,
+                fast=opts.fast_dedup,
+                max_value=ev.bounds[pred] if opts.fast_dedup else None,
             )
+        if spec is not None:
+            cands = apply_aggregation(
+                cands,
+                spec.group_positions,
+                spec.agg_position,
+                spec.op,
+                out_type=ev.types[pred][spec.agg_position],
+            )
+
+        if first:
+            # R is empty: R = ΔR = Rδ.
+            rel = ev.rels[pred] = self._materialize(cands, pred)
+            rows = stats.analyze(pred, rel)
+            if recursive:
+                # DSD and the termination test need |R| under OOF-NA too.
+                if rows is None:
+                    rows = rel.count()
+                    stats.record(pred, rows)
+                stats.record(f"Δ{pred}", rows)
+            return rel, rows
+
+        if meld:
+            # ΔR: candidate groups whose best value strictly improves on
+            # (or is absent from) R; R keeps the other groups' rows.
+            val = f"c{spec.agg_position}"
+            group = [f"c{i}" for i in spec.group_positions]
+            new, old = F.col(val), F.col("__old")
+            joined = cands.join(
+                ev.rels[pred].withColumnRenamed(val, "__old"), on=group, how="left"
+            )
+            better = new < old if spec.op == "MIN" else new > old
+            delta = self._materialize(
+                joined.filter(old.isNull() | better).select(
+                    *positional_columns(len(group) + 1)
+                ),
+                f"{pred}_delta",
+            )
+            merged = ev.rels[pred].join(delta.select(*group), on=group, how="left_anti")
+            ev.rels[pred] = self._materialize(merged.union(delta), pred)
+            rows = delta.count()
         else:
-            improved = joined.filter(
-                F.col("__old").isNull() | (F.col(val) > F.col("__old"))
+            r_delta = self._materialize(cands, f"{pred}_rdelta")
+            new_rows = stats.analyze(f"Rδ{pred}", r_delta)
+            if new_rows is None:
+                new_rows = r_delta.count()
+            if opts.dsd:
+                method = choose_set_difference(
+                    stats.rows(pred), new_rows, opts.alpha, ev.mu.get(pred)
+                ).method
+            else:
+                method = opts.static_setdiff
+            self.metrics.setdiff_choices.append(method)
+            delta = self._materialize(
+                set_difference(
+                    r_delta,
+                    ev.rels[pred],
+                    method=method,
+                    broadcast_threshold_rows=opts.broadcast_rows,
+                    new_rows=new_rows,
+                ),
+                f"{pred}_delta",
             )
-        delta = self._materialize(
-            improved.select(*positional_columns(len(group) + 1)), f"{pred}_delta"
-        )
-        # Merge: groups not improved keep their old row.
-        merged = (
-            current.join(delta.select(*group), on=group, how="left_anti")
-            .union(delta)
-        )
-        new_rel = self._materialize(merged, pred)
-        return new_rel, delta
-
-
-def _count(df: DataFrame) -> int:
-    return df.count()
+            rows = delta.count()
+            # μ = |Rδ| / |r| where r = Rδ ∩ R = Rδ - ΔR.
+            overlap = new_rows - rows
+            ev.mu[pred] = new_rows / overlap if overlap > 0 else None
+            if rows:
+                ev.rels[pred] = self._materialize(ev.rels[pred].union(delta), pred)
+                stats.record(pred, stats.rows(pred) + rows)
+        stats.record(f"Δ{pred}", rows)
+        return delta, rows
 
 
 def _domain_bound(df: DataFrame) -> int | None:

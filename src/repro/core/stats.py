@@ -7,7 +7,7 @@ per-relation row counts (refreshed by explicit ``analyze`` calls, i.e.
 Spark ``count()`` actions on in-memory data) and the compiler consults
 them to broadcast-hint the small side of each join — the equivalent of
 "build the hash table on the smaller table". The same counts drive the
-DSD cost model and the dedup pre-allocation approximation.
+DSD cost model.
 
 Modes (Figure 2):
 
@@ -89,9 +89,3 @@ class StatsCollector:
     def rows(self, name: str) -> int | None:
         st = self.tables.get(name)
         return st.rows if st else None
-
-    def dedup_preallocation(self, name: str, memory_budget_rows: int = 1 << 30) -> int | None:
-        """The paper's dedup estimate: min(available memory, table size)
-        instead of an expensive count-distinct."""
-        rows = self.rows(name)
-        return None if rows is None else min(rows, memory_budget_rows)

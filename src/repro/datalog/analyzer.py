@@ -13,7 +13,8 @@ Responsibilities, mirroring Section 4 of the paper:
   benchmark programs — CC, SSSP — need and whose convergence the paper
   assumes);
 - infer per-predicate column types from the EDB schemas so engines can
-  create empty typed relations.
+  create empty typed relations, and per-predicate value bounds so
+  FAST-DEDUP packs keys only where no value can overflow them.
 """
 from __future__ import annotations
 
@@ -160,6 +161,46 @@ class AnalyzedProgram:
             p: tuple(c if c is not None else "long" for c in cols)
             for p, cols in known.items()
         }
+
+    def value_bounds(self, edb_bound: int | None) -> dict[str, int | None]:
+        """Upper bound on the values each IDB can hold when every EDB
+        value lies in ``[0, edb_bound]`` (fixpoint iteration).
+
+        A head variable takes the smallest bound among the body atoms it
+        occurs in, a non-negative constant its own value, and MIN/MAX the
+        bound of their argument. ``None`` means no bound holds: negative
+        EDB values, arithmetic, negative constants, COUNT/SUM/AVG, or a
+        variable that only an unbounded IDB binds.
+        """
+        if edb_bound is None:
+            return dict.fromkeys(self.idbs)
+        bounds: dict[str, int | None] = dict.fromkeys(self.edbs | self.idbs, edb_bound)
+
+        def term_bound(term, rule: Rule) -> int | None:
+            if isinstance(term, AggTerm) and term.op in ("MIN", "MAX"):
+                term = term.expr
+            if isinstance(term, Const):
+                return term.value if term.value >= 0 else None
+            if isinstance(term, Var):
+                known = [
+                    bounds[a.pred] for a in rule.positive_body
+                    if term in a.terms and bounds[a.pred] is not None
+                ]
+                return min(known, default=None)
+            return None
+
+        changed = True
+        while changed:
+            changed = False
+            for rule in self.program.rules:
+                pred = rule.head.pred
+                for term in rule.head.terms:
+                    b, cur = term_bound(term, rule), bounds[pred]
+                    new = None if b is None or cur is None else max(cur, b)
+                    if new != cur:
+                        bounds[pred] = new
+                        changed = True
+        return {p: bounds[p] for p in self.idbs}
 
 
 def _check_arities(program: Program) -> dict[str, int]:

@@ -197,3 +197,22 @@ class TestTypeInference:
         )
         for idb in ("valueFlow", "memoryAlias", "valueAlias"):
             assert types[idb] == ("long", "long")
+
+
+class TestValueBounds:
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("tc(x, y) :- e(x, y). tc(x, y) :- tc(x, z), e(z, y).", {"tc": 9}),
+            ("p(x, 40) :- e(x, _). q(x) :- p(_, x).", {"p": 40, "q": 40}),
+            ("p(x * 2) :- e(x, _). q(x) :- p(x). r(x) :- p(x), e(x, _).",
+             {"p": None, "q": None, "r": 9}),
+            ("g(x, COUNT(y)) :- e(x, y). m(x, MIN(y)) :- e(x, y).", {"g": None, "m": 9}),
+        ],
+    )
+    def test_bounds(self, text, expected):
+        assert analyze(parse_program(text)).value_bounds(9) == expected
+
+    def test_negative_edb_values_bound_nothing(self):
+        a = analyze(programs.get_program("tc"))
+        assert a.value_bounds(None) == {"tc": None}

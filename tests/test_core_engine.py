@@ -10,8 +10,10 @@ import pytest
 
 from repro import synth_data
 from repro.baselines import souffle_like
+from repro.baselines.naive import NaiveEngine
 from repro.core import RecStepEngine, RecStepOptions
 from repro.datalog import analyze, programs
+from repro.datalog.parser import parse_program
 from repro.oracle import assert_equivalent
 
 from helpers import CSDA_SQL, REACH_SQL, TC_SQL, ref_components_min, ref_sssp
@@ -19,6 +21,9 @@ from helpers import CSDA_SQL, REACH_SQL, TC_SQL, ref_components_min, ref_sssp
 
 GRAPH = synth_data.gnp_arcs(n=40, p=0.05, seed=11)
 CHAIN = pd.DataFrame({"src": range(9), "dst": range(1, 10)})
+WEIGHTED = synth_data.add_weights(
+    synth_data.rmat_arcs(n=32, edge_factor=4, seed=2), seed=2
+)
 
 
 @pytest.fixture(scope="module")
@@ -103,32 +108,41 @@ class TestAggregationPrograms:
         assert [tuple(r) for r in out["cc"].collect()] == [(0,)]
 
     def test_sssp_matches_dijkstra(self, spark, engine):
-        arc = synth_data.add_weights(
-            synth_data.rmat_arcs(n=32, edge_factor=4, seed=2), seed=2
-        )
-        source = int(arc["src"].iloc[0])
-        out = engine.evaluate(
-            programs.get_program("sssp"),
-            spark_edb(spark, {"arc": arc, "id": pd.DataFrame({"v": [source]})}),
-        )
-        got = {int(r["c0"]): float(r["c1"]) for r in out["sssp"].collect()}
-        assert got == pytest.approx(ref_sssp(arc, source))
+        check_sssp(spark, engine)
 
     def test_tc_count(self, spark, engine):
-        out = engine.evaluate(
-            programs.get_program("tc_count"), spark_edb(spark, {"arc": CHAIN})
-        )
-        got = {int(r["c0"]): int(r["c1"]) for r in out["gtc"].collect()}
-        assert got == {i: 9 - i for i in range(9)}
+        check_tc_count(spark, engine)
 
 
 class TestNegation:
     def test_negated_tc(self, spark, engine):
-        out = engine.evaluate(
-            programs.get_program("negated_tc"), spark_edb(spark, {"arc": CHAIN})
-        )
-        expected = reference("negated_tc", {"arc": CHAIN})["ntc"]
-        assert_equivalent(out["ntc"], "SELECT * FROM expected", expected=expected)
+        check_negated_tc(spark, engine)
+
+
+def check_sssp(spark, engine):
+    source = int(WEIGHTED["src"].iloc[0])
+    out = engine.evaluate(
+        programs.get_program("sssp"),
+        spark_edb(spark, {"arc": WEIGHTED, "id": pd.DataFrame({"v": [source]})}),
+    )
+    got = {int(r["c0"]): float(r["c1"]) for r in out["sssp"].collect()}
+    assert got == pytest.approx(ref_sssp(WEIGHTED, source))
+
+
+def check_tc_count(spark, engine):
+    out = engine.evaluate(
+        programs.get_program("tc_count"), spark_edb(spark, {"arc": CHAIN})
+    )
+    got = {int(r["c0"]): int(r["c1"]) for r in out["gtc"].collect()}
+    assert got == {i: 9 - i for i in range(9)}
+
+
+def check_negated_tc(spark, engine):
+    out = engine.evaluate(
+        programs.get_program("negated_tc"), spark_edb(spark, {"arc": CHAIN})
+    )
+    expected = reference("negated_tc", {"arc": CHAIN})["ntc"]
+    assert_equivalent(out["ntc"], "SELECT * FROM expected", expected=expected)
 
 
 class TestOptionAblations:
@@ -154,6 +168,14 @@ class TestOptionAblations:
             programs.get_program("tc"), spark_edb(spark, {"arc": GRAPH})
         )
         assert_equivalent(out["tc"], TC_SQL, arc=GRAPH)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("check", [check_sssp, check_tc_count, check_negated_tc])
+    def test_stratum_kinds_same_result(self, spark, name, check):
+        """Recursive MIN meld plus a non-recursive MIN (sssp), a
+        non-recursive COUNT after a recursive stratum (tc_count) and a
+        non-recursive stratum with negation (negated_tc)."""
+        check(spark, RecStepEngine(spark, self.CONFIGS[name]))
 
     @pytest.mark.parametrize("name", ["all_off", "no_uie", "oof_na"])
     def test_andersen_same_result(self, spark, name):
@@ -211,12 +233,27 @@ class TestEngineContract:
         out = engine.evaluate(programs.get_program("tc"), {"arc": arc})
         assert out["tc"].count() == 0
 
-    def test_final_counts_metric(self, spark, engine):
-        engine.evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": CHAIN}))
-        assert engine.metrics.final_counts["tc"] == 45
-
     def test_negative_ids_supported_via_generic_dedup(self, spark, engine):
         arc = pd.DataFrame({"src": [-3, -2], "dst": [-2, -1]})
         out = engine.evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": arc}))
         got = sorted(map(tuple, out["tc"].collect()))
         assert got == [(-3, -2), (-3, -1), (-2, -1)]
+
+    def test_fast_dedup_keeps_values_above_the_edb_bound(self, spark, engine):
+        # 2 * 1 exceeds the EDB's largest value, so a compact key sized
+        # from the EDBs alone collides (2, 0) with (0, 1).
+        e = pd.DataFrame({"a": [1, 0], "b": [0, 1]})
+        out = engine.evaluate(
+            parse_program("q(x * 2, y) :- e(x, y)."), spark_edb(spark, {"e": e})
+        )
+        assert sorted(map(tuple, out["q"].collect())) == [(0, 1), (2, 0)]
+
+    @pytest.mark.parametrize(
+        "make",
+        [RecStepEngine, lambda s: RecStepEngine(s, RecStepOptions(pbme=True)), NaiveEngine],
+        ids=["recstep", "recstep_pbme", "naive"],
+    )
+    def test_string_ids(self, spark, make):
+        arc = pd.DataFrame({"src": ["u", "v"], "dst": ["v", "w"]})
+        out = make(spark).evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": arc}))
+        assert_equivalent(out["tc"], TC_SQL, arc=arc)

@@ -44,15 +44,6 @@ class TestRecordAndPrealloc:
         assert s.rows("t") == 42
         assert s.analyze_calls == 0
 
-    def test_dedup_preallocation_caps_at_memory(self, df):
-        s = StatsCollector("oof")
-        s.record("t", 1000)
-        assert s.dedup_preallocation("t", memory_budget_rows=100) == 100
-        assert s.dedup_preallocation("t", memory_budget_rows=10_000) == 1000
-
-    def test_dedup_preallocation_unknown_table(self):
-        assert StatsCollector("oof").dedup_preallocation("nope") is None
-
     def test_latest_analyze_wins(self, spark, df):
         s = StatsCollector("oof")
         s.analyze("t", df)

@@ -113,8 +113,3 @@ class TestSparkWrappers:
         pdf = synth_data.gnp_arcs(n=10, p=0.3, seed=0)
         df = synth_data.to_spark(spark, pdf)
         assert df.count() == len(pdf)
-
-    def test_provided_tpch_lite_still_works(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        assert li.count() > 0
-        assert "l_orderkey" in li.columns
