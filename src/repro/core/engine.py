@@ -30,8 +30,12 @@ path for TC/SG-shaped programs (Section 5.3).
 
 Spark specifics: every per-iteration state frame is materialized with a
 truncated lineage (``localCheckpoint``) so plans do not grow across
-iterations, and — because the session disables automatic broadcast —
-all broadcasts are explicit OOF decisions.
+iterations. Each materialization is one Spark action that also yields
+the frame's row count (an ``Observation`` rides on the checkpoint or
+the Parquet write), so |Rδ|, |ΔR| and |R| cost no extra query. R ∪ ΔR
+is coalesced to the session's default parallelism, so R's partition
+count stays bounded however many Δs were appended. Because the session
+disables automatic broadcast, all broadcasts are explicit OOF decisions.
 """
 from __future__ import annotations
 
@@ -40,7 +44,7 @@ import tempfile
 import uuid
 from dataclasses import dataclass, field
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core import pbme
@@ -92,6 +96,9 @@ class RecStepEngine:
         self.options = options or RecStepOptions()
         self.metrics = EngineMetrics()
         self._commit_dir: str | None = None
+        # The row-count metric every materialization observes, built once:
+        # each Column built costs Py4J round trips to the JVM.
+        self._rows_metric = F.count(F.lit(1)).alias("rows")
 
     # ------------------------------------------------------------------
     def evaluate(
@@ -114,8 +121,8 @@ class RecStepEngine:
         rels, types = load_relations(self.spark, analyzed, edb)
         edb_bound: int | None = 0
         for pred in analyzed.edbs:
-            stats.record(pred, rels[pred].count())
-            bound = _domain_bound(rels[pred])
+            rows, bound = _profile(rels[pred])
+            stats.record(pred, rows)
             if bound is None or edb_bound is None:
                 edb_bound = None  # negative ids: compact key unusable
             else:
@@ -152,15 +159,25 @@ class RecStepEngine:
                 self._commit_dir = None
 
     # -- helpers ---------------------------------------------------------
-    def _materialize(self, df: DataFrame, name: str) -> DataFrame:
+    def _materialize(self, df: DataFrame, name: str) -> tuple[DataFrame, int]:
         """EOST on: keep in memory; EOST off: commit to Parquet and read
-        back — the per-query transaction I/O RecStep removes."""
+        back — the per-query transaction I/O RecStep removes. Returns
+        the frame and its row count, both from that one action."""
+        obs = Observation()
+        df = df.observe(obs, self._rows_metric)
         if self.options.eost:
-            return df.localCheckpoint(eager=True)
-        assert self._commit_dir is not None
-        path = f"{self._commit_dir}/{name}_{uuid.uuid4().hex}"
-        df.write.mode("overwrite").parquet(path)
-        return self.spark.read.parquet(path)
+            frame = df.localCheckpoint(eager=True)
+        else:
+            assert self._commit_dir is not None
+            path = f"{self._commit_dir}/{name}_{uuid.uuid4().hex}"
+            df.write.mode("overwrite").parquet(path)
+            frame = self.spark.read.parquet(path)
+        return frame, obs.get["rows"]
+
+    def _bounded(self, df: DataFrame) -> DataFrame:
+        """``df`` in at most the session's default parallelism partitions:
+        each R ∪ ΔR would otherwise append ΔR's partitions to R's."""
+        return df.coalesce(self.spark.sparkContext.defaultParallelism)
 
     def _uieval(self, parts: list[DataFrame], types: tuple[str, ...]) -> DataFrame:
         """UNION ALL of the subqueries deriving one IDB.
@@ -173,7 +190,7 @@ class RecStepEngine:
         if not parts:
             return empty_relation(self.spark, types)
         if not self.options.uie:
-            parts = [self._materialize(p, "subquery") for p in parts]
+            parts = [self._materialize(p, "subquery")[0] for p in parts]
         out = parts[0]
         for p in parts[1:]:
             out = out.union(p)
@@ -221,8 +238,7 @@ class RecStepEngine:
             for pred in sorted(stratum.predicates):
                 parts = self._subqueries(ev, pred, None if first else deltas)
                 delta, rows = self._step(
-                    ev, pred, self._uieval(parts, ev.types[pred]),
-                    first=first, recursive=stratum.recursive,
+                    ev, pred, self._uieval(parts, ev.types[pred]), first=first
                 )
                 if rows:
                     deltas[pred] = delta
@@ -232,11 +248,10 @@ class RecStepEngine:
             first = False
 
     def _step(
-        self, ev: _Evaluation, pred: str, raw: DataFrame, *, first: bool, recursive: bool
-    ) -> tuple[DataFrame, int | None]:
+        self, ev: _Evaluation, pred: str, raw: DataFrame, *, first: bool
+    ) -> tuple[DataFrame, int]:
         """Merge one round's candidates for ``pred`` into R; returns ΔR
-        and |ΔR|. |ΔR| is ``None`` only in a non-recursive stratum under
-        OOF-NA, where nothing needs it."""
+        and |ΔR|."""
         opts, stats = self.options, ev.stats
         spec = ev.analyzed.agg_specs.get(pred)
         meld = pred in ev.analyzed.meld_idbs
@@ -258,14 +273,11 @@ class RecStepEngine:
 
         if first:
             # R is empty: R = ΔR = Rδ.
-            rel = ev.rels[pred] = self._materialize(cands, pred)
-            rows = stats.analyze(pred, rel)
-            if recursive:
-                # DSD and the termination test need |R| under OOF-NA too.
-                if rows is None:
-                    rows = rel.count()
-                    stats.record(pred, rows)
-                stats.record(f"Δ{pred}", rows)
+            rel, rows = self._materialize(cands, pred)
+            ev.rels[pred] = rel
+            if stats.analyze(pred, rel, rows) is None:
+                stats.record(pred, rows)  # DSD needs |R| under OOF-NA too
+            stats.record(f"Δ{pred}", rows)
             return rel, rows
 
         if meld:
@@ -278,20 +290,20 @@ class RecStepEngine:
                 ev.rels[pred].withColumnRenamed(val, "__old"), on=group, how="left"
             )
             better = new < old if spec.op == "MIN" else new > old
-            delta = self._materialize(
+            delta, rows = self._materialize(
                 joined.filter(old.isNull() | better).select(
                     *positional_columns(len(group) + 1)
                 ),
                 f"{pred}_delta",
             )
             merged = ev.rels[pred].join(delta.select(*group), on=group, how="left_anti")
-            ev.rels[pred] = self._materialize(merged.union(delta), pred)
-            rows = delta.count()
+            ev.rels[pred], total = self._materialize(
+                self._bounded(merged.union(delta)), pred
+            )
+            stats.record(pred, total)
         else:
-            r_delta = self._materialize(cands, f"{pred}_rdelta")
-            new_rows = stats.analyze(f"Rδ{pred}", r_delta)
-            if new_rows is None:
-                new_rows = r_delta.count()
+            r_delta, new_rows = self._materialize(cands, f"{pred}_rdelta")
+            stats.analyze(f"Rδ{pred}", r_delta, new_rows)
             if opts.dsd:
                 method = choose_set_difference(
                     stats.rows(pred), new_rows, opts.alpha, ev.mu.get(pred)
@@ -299,7 +311,7 @@ class RecStepEngine:
             else:
                 method = opts.static_setdiff
             self.metrics.setdiff_choices.append(method)
-            delta = self._materialize(
+            delta, rows = self._materialize(
                 set_difference(
                     r_delta,
                     ev.rels[pred],
@@ -309,33 +321,33 @@ class RecStepEngine:
                 ),
                 f"{pred}_delta",
             )
-            rows = delta.count()
             # μ = |Rδ| / |r| where r = Rδ ∩ R = Rδ - ΔR.
             overlap = new_rows - rows
             ev.mu[pred] = new_rows / overlap if overlap > 0 else None
             if rows:
-                ev.rels[pred] = self._materialize(ev.rels[pred].union(delta), pred)
-                stats.record(pred, stats.rows(pred) + rows)
+                ev.rels[pred], total = self._materialize(
+                    self._bounded(ev.rels[pred].union(delta)), pred
+                )
+                stats.record(pred, total)
         stats.record(f"Δ{pred}", rows)
         return delta, rows
 
 
-def _domain_bound(df: DataFrame) -> int | None:
-    """Max value over integral columns if all are non-negative (the
-    active-domain bound the compact dedup key needs); ``None`` when any
+def _profile(df: DataFrame) -> tuple[int, int | None]:
+    """Row count and active-domain bound of an EDB, in one aggregate
+    query. The bound is the max value over integral columns if all are
+    non-negative (what the compact dedup key needs); ``None`` when any
     integral value is negative (packing would smear sign bits). Frames
-    without integral columns report 0 (nothing to pack there)."""
+    without integral columns have bound 0 (nothing to pack there)."""
     int_cols = [c for c, t in df.dtypes if t in ("bigint", "int", "smallint", "tinyint")]
-    if not int_cols:
-        return 0
-    aggs = []
+    aggs = [F.count(F.lit(1)).alias("rows")]
     for c in int_cols:
         aggs += [F.max(F.col(c)).alias(f"mx_{c}"), F.min(F.col(c)).alias(f"mn_{c}")]
     row = df.agg(*aggs).collect()[0].asDict()
     maxima = [row[f"mx_{c}"] for c in int_cols if row[f"mx_{c}"] is not None]
     minima = [row[f"mn_{c}"] for c in int_cols if row[f"mn_{c}"] is not None]
     if not maxima:
-        return 0
+        return row["rows"], 0
     if min(minima) < 0:
-        return None
-    return int(max(maxima))
+        return row["rows"], None
+    return row["rows"], int(max(maxima))

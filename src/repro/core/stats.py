@@ -3,8 +3,9 @@
 In RecStep the interpreter calls ``analyze()`` on updated tables at
 chosen breakpoints so the next query is planned with fresh statistics.
 The Catalyst analogue implemented here: a :class:`StatsCollector` tracks
-per-relation row counts (refreshed by explicit ``analyze`` calls, i.e.
-Spark ``count()`` actions on in-memory data) and the compiler consults
+per-relation row counts (refreshed by explicit ``analyze`` calls; the
+engine passes the count it read from the action that materialized the
+frame, so an ``analyze`` runs no Spark job) and the compiler consults
 them to broadcast-hint the small side of each join — the equivalent of
 "build the hash table on the smaller table". The same counts drive the
 DSD cost model.
@@ -45,20 +46,24 @@ class StatsCollector:
             raise ValueError(f"invalid OOF mode {mode!r}")
         self.mode = mode
         self.tables: dict[str, TableStats] = {}
-        #: how many analyze() actions ran (tests assert OOF-NA runs none)
+        #: analyze() calls plus OOF-FA's column scans (tests assert
+        #: OOF-NA makes none)
         self.analyze_calls = 0
 
     @property
     def enabled(self) -> bool:
         return self.mode != "na"
 
-    def analyze(self, name: str, df: DataFrame) -> int | None:
+    def analyze(self, name: str, df: DataFrame, rows: int | None = None) -> int | None:
         """Collect statistics for ``df`` under ``name``; returns the row
-        count (None in "na" mode, where no action is run)."""
+        count (None in "na" mode, where no action is run). A ``rows``
+        already known from the action that built ``df`` is recorded
+        without counting again."""
         if self.mode == "na":
             return None
         self.analyze_calls += 1
-        rows = df.count()
+        if rows is None:
+            rows = df.count()
         stats = TableStats(rows=rows)
         if self.mode == "fa" and rows > 0:
             # Full analysis: per-column min/max/avg — the paper's OOF-FA

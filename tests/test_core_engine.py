@@ -7,11 +7,14 @@ results are fed through the same oracle path).
 """
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
+from pyspark.sql.classic import dataframe as classic_df
 
 from repro import synth_data
 from repro.baselines import souffle_like
 from repro.baselines.naive import NaiveEngine
 from repro.core import RecStepEngine, RecStepOptions
+from repro.core.compiler import empty_relation
 from repro.datalog import analyze, programs
 from repro.datalog.parser import parse_program
 from repro.oracle import assert_equivalent
@@ -208,6 +211,51 @@ class TestOptionAblations:
         eng = RecStepEngine(spark, RecStepOptions(dsd=False, static_setdiff="opsd"))
         eng.evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": CHAIN}))
         assert set(eng.metrics.setdiff_choices) == {"opsd"}
+
+
+class TestFusedCounts:
+    """Each materialization is one action that also yields the row count;
+    R ∪ ΔR stays within the session's default parallelism."""
+
+    FRAMES = {
+        "non_empty": lambda spark: spark.createDataFrame(CHAIN),
+        "filtered_out": lambda spark: spark.createDataFrame(CHAIN).filter(F.lit(False)),
+        "empty_relation": lambda spark: empty_relation(spark, ("long", "long")),
+    }
+
+    @pytest.mark.parametrize("eost", [True, False], ids=["eost", "no_eost"])
+    @pytest.mark.parametrize("frame", sorted(FRAMES))
+    def test_materialize_returns_row_count(self, spark, tmp_path, eost, frame):
+        eng = RecStepEngine(spark, RecStepOptions(eost=eost))
+        eng._commit_dir = None if eost else str(tmp_path)
+        out, rows = eng._materialize(self.FRAMES[frame](spark), "t")
+        assert rows == out.count() == (len(CHAIN) if frame == "non_empty" else 0)
+
+    @pytest.mark.parametrize("name", ["all_on", "no_eost"])
+    def test_evaluate_runs_no_count(self, spark, monkeypatch, name):
+        calls = []
+        count = classic_df.DataFrame.count
+
+        def counted(df):
+            calls.append(df)
+            return count(df)
+
+        edb = spark_edb(spark, {"arc": CHAIN})
+        eng = RecStepEngine(spark, TestOptionAblations.CONFIGS[name])
+        monkeypatch.setattr(classic_df.DataFrame, "count", counted)
+        out = eng.evaluate(programs.get_program("tc"), edb)
+        monkeypatch.undo()
+        assert len(calls) == 0
+        assert_equivalent(out["tc"], TC_SQL, arc=CHAIN)
+
+    def test_r_partitions_stay_bounded(self, spark, engine):
+        # Every round appends ΔR's partitions to R unless R ∪ ΔR is
+        # coalesced, so a chain longer than the parallelism exceeds it.
+        dp = spark.sparkContext.defaultParallelism
+        chain = pd.DataFrame({"src": range(dp + 4), "dst": range(1, dp + 5)})
+        out = engine.evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": chain}))
+        assert out["tc"].rdd.getNumPartitions() <= dp
+        assert_equivalent(out["tc"], TC_SQL, arc=chain)
 
 
 class TestEngineContract:

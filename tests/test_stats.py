@@ -1,6 +1,7 @@
 """OOF StatsCollector tests (modes oof / na / fa)."""
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core.stats import StatsCollector
 
@@ -49,3 +50,33 @@ class TestRecordAndPrealloc:
         s.analyze("t", df)
         s.analyze("t", df.limit(1))
         assert s.rows("t") == 1
+
+
+@pytest.fixture()
+def unrunnable(df):
+    """``df`` behind a filter that fails any Spark job evaluating it."""
+    return df.filter(F.raise_error(F.lit("a Spark job ran")).isNull())
+
+
+class TestKnownRows:
+    """A count already read from the action that built the frame."""
+
+    def test_known_rows_run_no_job(self, unrunnable):
+        with pytest.raises(Exception, match="a Spark job ran"):
+            unrunnable.count()
+        s = StatsCollector("oof")
+        assert s.analyze("t", unrunnable, rows=3) == 3
+        assert s.rows("t") == 3
+        assert s.analyze_calls == 1
+
+    def test_fa_still_scans_columns(self, df):
+        s = StatsCollector("fa")
+        assert s.analyze("t", df, rows=3) == 3
+        assert s.tables["t"].column_stats["c1"] == {"min": 4, "max": 6, "avg": 5.0}
+        assert s.analyze_calls == 2
+
+    def test_na_ignores_known_rows(self, unrunnable):
+        s = StatsCollector("na")
+        assert s.analyze("t", unrunnable, rows=3) is None
+        assert s.rows("t") is None
+        assert s.analyze_calls == 0
