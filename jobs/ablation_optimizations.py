@@ -10,13 +10,14 @@ Usage: ``spark-submit jobs/ablation_optimizations.py [scale]``
 """
 import sys
 import time
-from pathlib import Path
 
 from pyspark.sql import SparkSession
 
 from repro import synth_data
-from repro.core import RecStepEngine, RecStepOptions
+from repro.core import RecStepEngine
+from repro.core.options import ABLATIONS
 from repro.datalog import programs
+from repro.session import build_session
 
 # Paper's Figure 2 percentages on CSPA/httpd (RecStep-NO-OP = 100%).
 PAPER_PERCENTAGES = {
@@ -24,17 +25,6 @@ PAPER_PERCENTAGES = {
     "oof_na": 63.0,
     "oof_fa": 41.0,
     "all_off": 100.0,
-}
-
-CONFIGS = {
-    "all_on": RecStepOptions.all_on(),
-    "no_uie": RecStepOptions().without("uie"),
-    "oof_na": RecStepOptions().without("oof"),
-    "oof_fa": RecStepOptions().without("oof-fa"),
-    "no_dsd": RecStepOptions().without("dsd"),
-    "no_eost": RecStepOptions().without("eost"),
-    "no_fast_dedup": RecStepOptions().without("fast_dedup"),
-    "all_off": RecStepOptions.all_off(),
 }
 
 
@@ -45,14 +35,19 @@ def main(spark: SparkSession, scale: float = 0.5) -> dict[str, float]:
     }
     program = programs.get_program("cspa")
     runtimes: dict[str, float] = {}
-    for name, options in CONFIGS.items():
+    counts: dict[str, dict[str, int]] = {}
+    for name, options in ABLATIONS.items():
         engine = RecStepEngine(spark, options)
         t0 = time.perf_counter()
         out = engine.evaluate(program, edb)
-        for df in out.values():
-            df.count()
+        counts[name] = {idb: df.count() for idb, df in out.items()}
         runtimes[name] = time.perf_counter() - t0
         print(f"[ablation] {name:<14} {runtimes[name]:7.2f}s", flush=True)
+        # An optimization changes speed, never the fixpoint.
+        if counts[name] != counts["all_on"]:
+            raise RuntimeError(
+                f"{name} derived {counts[name]}, all_on derived {counts['all_on']}"
+            )
 
     base = runtimes["all_off"]
     print(f"\n{'config':<16}{'runtime':>10}{'% of NO-OP':>12}{'paper %':>10}")
@@ -66,9 +61,6 @@ def main(spark: SparkSession, scale: float = 0.5) -> dict[str, float]:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).parent))
-    from _session import build_session
-
     spark = build_session("ablation-optimizations")
     main(spark, float(sys.argv[1]) if len(sys.argv) > 1 else 0.5)
     spark.stop()

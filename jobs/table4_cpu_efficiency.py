@@ -17,6 +17,7 @@ from pathlib import Path
 
 from pyspark.sql import SparkSession
 
+from repro.session import build_session
 from repro.workloads.registry import (
     PAPER_DISTRIBUTED_BIGDATALOG_CE,
     SYSTEMS,
@@ -108,9 +109,6 @@ def format_table(results: dict) -> str:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).parent))
-    from _session import build_session
-
     spark = build_session("table4-cpu-efficiency")
     out = main(spark, sys.argv[1:] or None)
     Path("table4_results.json").write_text(json.dumps(out, indent=2))

@@ -3,11 +3,11 @@
 The defaults are "RecStep with everything on". Each flag maps to one of
 the paper's ablations (Figure 2/3): turning a flag off reproduces the
 corresponding OOF-NA / OOF-FA / no-UIE / no-DSD / no-EOST / no-FAST-DEDUP
-configuration, and ``all_off()`` reproduces RecStep-NO-OP.
+configuration; :data:`ABLATIONS` names the Figure 2 configurations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -74,29 +74,18 @@ class RecStepOptions:
         if self.alpha <= 1.0:
             raise ValueError("alpha must exceed 1 (building costs more than probing)")
 
-    @staticmethod
-    def all_on() -> "RecStepOptions":
-        return RecStepOptions()
 
-    @staticmethod
-    def all_off() -> "RecStepOptions":
-        """RecStep-NO-OP of Figure 2: every optimization disabled."""
-        return RecStepOptions(
-            uie=False, oof="na", dsd=False, eost=False, fast_dedup=False, pbme=False
-        )
-
-    def without(self, opt: str) -> "RecStepOptions":
-        """All-on except one optimization (the Figure 2 ablation axis)."""
-        if opt == "uie":
-            return replace(self, uie=False)
-        if opt == "oof":
-            return replace(self, oof="na")
-        if opt == "oof-fa":
-            return replace(self, oof="fa")
-        if opt == "dsd":
-            return replace(self, dsd=False)
-        if opt == "eost":
-            return replace(self, eost=False)
-        if opt == "fast_dedup":
-            return replace(self, fast_dedup=False)
-        raise ValueError(f"unknown optimization {opt!r}")
+#: The Figure 2 configurations on CSPA: everything on, each optimization
+#: off on its own, and RecStep-NO-OP (everything off).
+ABLATIONS: dict[str, RecStepOptions] = {
+    "all_on": RecStepOptions(),
+    "no_uie": RecStepOptions(uie=False),
+    "oof_na": RecStepOptions(oof="na"),
+    "oof_fa": RecStepOptions(oof="fa"),
+    "no_dsd": RecStepOptions(dsd=False),
+    "no_eost": RecStepOptions(eost=False),
+    "no_fast_dedup": RecStepOptions(fast_dedup=False),
+    "all_off": RecStepOptions(
+        uie=False, oof="na", dsd=False, eost=False, fast_dedup=False, pbme=False
+    ),
+}

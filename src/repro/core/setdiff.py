@@ -41,23 +41,18 @@ def opsd(new: DataFrame, full: DataFrame) -> DataFrame:
     return new.join(full, on=new.columns, how="left_anti")
 
 
-def tpsd(
-    new: DataFrame,
-    full: DataFrame,
-    *,
-    broadcast_new: bool = True,
-    broadcast_intersection: bool = True,
-) -> DataFrame:
+def tpsd(new: DataFrame, full: DataFrame, *, broadcast: bool = True) -> DataFrame:
     """Two-Phase Set Difference (Algorithm 5): intersect, then subtract.
 
     Phase 1 computes r = full ⋉ new with the hash table on ``new`` (the
     smaller side when TPSD is the right choice), phase 2 anti-joins
-    ``new`` against the small intersection r.
+    ``new`` against the small intersection r. ``broadcast`` hints both
+    build sides: r ⊆ new, so r fits wherever ``new`` does.
     """
     cols = new.columns
-    probe = F.broadcast(new) if broadcast_new else new
+    probe = F.broadcast(new) if broadcast else new
     r = full.join(probe, on=cols, how="left_semi")
-    r = F.broadcast(r) if broadcast_intersection else r
+    r = F.broadcast(r) if broadcast else r
     return new.join(r, on=cols, how="left_anti")
 
 
@@ -99,7 +94,7 @@ def set_difference(
     bc = True
     if broadcast_threshold_rows is not None and new_rows is not None:
         bc = new_rows <= broadcast_threshold_rows
-    return tpsd(new, full, broadcast_new=bc, broadcast_intersection=bc)
+    return tpsd(new, full, broadcast=bc)
 
 
 def calibrate_alpha(

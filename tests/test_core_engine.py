@@ -15,6 +15,7 @@ from repro.baselines import souffle_like
 from repro.baselines.naive import NaiveEngine
 from repro.core import RecStepEngine, RecStepOptions
 from repro.core.compiler import empty_relation
+from repro.core.options import ABLATIONS
 from repro.datalog import analyze, programs
 from repro.datalog.parser import parse_program
 from repro.oracle import assert_equivalent
@@ -152,17 +153,7 @@ class TestOptionAblations:
     """Every optimization configuration must produce identical results
     (the optimizations change cost, never semantics) — Figure 2's axis."""
 
-    CONFIGS = {
-        "all_on": RecStepOptions.all_on(),
-        "all_off": RecStepOptions.all_off(),
-        "no_uie": RecStepOptions().without("uie"),
-        "oof_na": RecStepOptions().without("oof"),
-        "oof_fa": RecStepOptions().without("oof-fa"),
-        "no_dsd_opsd": RecStepOptions(dsd=False, static_setdiff="opsd"),
-        "no_dsd_tpsd": RecStepOptions(dsd=False, static_setdiff="tpsd"),
-        "no_eost": RecStepOptions().without("eost"),
-        "no_fast_dedup": RecStepOptions().without("fast_dedup"),
-    }
+    CONFIGS = {**ABLATIONS, "no_dsd_tpsd": RecStepOptions(dsd=False, static_setdiff="tpsd")}
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_tc_same_result(self, spark, name):

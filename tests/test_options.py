@@ -1,7 +1,9 @@
-"""RecStepOptions validation tests (no Spark needed)."""
+"""RecStepOptions validation and Figure 2 config tests (no Spark needed)."""
+from dataclasses import asdict
+
 import pytest
 
-from repro.core.options import RecStepOptions
+from repro.core.options import ABLATIONS, RecStepOptions
 
 
 class TestValidation:
@@ -10,10 +12,22 @@ class TestValidation:
         assert o.uie and o.dsd and o.eost and o.fast_dedup
         assert o.oof == "oof" and not o.pbme
 
+    def test_all_on(self):
+        assert ABLATIONS["all_on"] == RecStepOptions()
+
     def test_all_off(self):
-        o = RecStepOptions.all_off()
+        o = ABLATIONS["all_off"]
         assert not (o.uie or o.dsd or o.eost or o.fast_dedup or o.pbme)
         assert o.oof == "na"
+
+    @pytest.mark.parametrize("name", sorted(set(ABLATIONS) - {"all_on", "all_off"}))
+    def test_one_switch(self, name):
+        # no_<field> turns a boolean field off; oof_<mode> sets the OOF mode.
+        prefix, rest = name.split("_", 1)
+        expected = {rest: False} if prefix == "no" else {"oof": rest}
+        default = asdict(RecStepOptions())
+        changed = {k: v for k, v in asdict(ABLATIONS[name]).items() if v != default[k]}
+        assert changed == expected
 
     def test_bad_oof_mode(self):
         with pytest.raises(ValueError, match="oof"):
@@ -26,25 +40,6 @@ class TestValidation:
     def test_alpha_must_exceed_one(self):
         with pytest.raises(ValueError, match="alpha"):
             RecStepOptions(alpha=1.0)
-
-    @pytest.mark.parametrize(
-        "opt,field,value",
-        [
-            ("uie", "uie", False),
-            ("oof", "oof", "na"),
-            ("oof-fa", "oof", "fa"),
-            ("dsd", "dsd", False),
-            ("eost", "eost", False),
-            ("fast_dedup", "fast_dedup", False),
-        ],
-    )
-    def test_without(self, opt, field, value):
-        o = RecStepOptions().without(opt)
-        assert getattr(o, field) == value
-
-    def test_without_unknown(self):
-        with pytest.raises(ValueError, match="unknown"):
-            RecStepOptions().without("pbme2")
 
     def test_frozen(self):
         with pytest.raises(Exception):

@@ -80,12 +80,7 @@ class TestTranslationsAgree:
 
     def test_tpsd_no_broadcast(self, frames):
         new, full = frames
-        got = sorted(
-            map(
-                tuple,
-                tpsd(new, full, broadcast_new=False, broadcast_intersection=False).collect(),
-            )
-        )
+        got = sorted(map(tuple, tpsd(new, full, broadcast=False).collect()))
         assert got == [(1, 10), (3, 30)]
 
     def test_set_difference_dispatch(self, frames):
