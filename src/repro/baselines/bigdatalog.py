@@ -9,7 +9,8 @@ every RecStep optimization disabled:
   adaptive broadcast decisions;
 - fixed one-phase set difference (no DSD);
 - generic multi-column deduplication (no compact key);
-- no bit-matrix fast path.
+- no bit-matrix fast path;
+- every round on Spark, none on the driver (``local_rows=0``).
 
 It stays in memory between iterations (``eost=True``): BigDatalog's RDD
 caching has no per-iteration commit I/O, so charging it the Parquet
@@ -44,6 +45,7 @@ BIGDATALOG_OPTIONS = RecStepOptions(
     eost=True,
     fast_dedup=False,
     pbme=False,
+    local_rows=0,
 )
 
 

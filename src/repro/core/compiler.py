@@ -60,10 +60,15 @@ def normalize_edb(df: DataFrame, arity: int) -> DataFrame:
     return df.toDF(*positional_columns(arity)).dropDuplicates()
 
 
+def schema(types: tuple[str, ...]) -> str:
+    """The DDL schema of a relation with positional columns of the given
+    type names."""
+    return ", ".join(f"c{i} {_spark_type(t)}" for i, t in enumerate(types))
+
+
 def empty_relation(spark: SparkSession, types: tuple[str, ...]) -> DataFrame:
     """An empty relation with positional columns of the given type names."""
-    schema = ", ".join(f"c{i} {_spark_type(t)}" for i, t in enumerate(types))
-    return spark.createDataFrame([], schema)
+    return spark.createDataFrame([], schema(types))
 
 
 def load_relations(

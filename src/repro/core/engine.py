@@ -28,14 +28,28 @@ dedup. Around the loop sit the EOST materialization policy (in-memory
 ``localCheckpoint`` vs per-iteration Parquet commit) and the PBME fast
 path for TC/SG-shaped programs (Section 5.3).
 
+Each round picks its executor once, for the whole stratum: when every
+relation the round reads (each EDB and IDB its rules scan, and the
+stratum's own R, which bounds each Δ) and the previous local round's
+candidates are within ``RecStepOptions.local_rows`` rows, the round runs
+on the driver over pandas (:mod:`repro.core.local`) with the same dedup,
+set-difference, meld and aggregation semantics; otherwise on Spark. The
+row counts are the ones OOF already records, so the choice runs no
+Spark job. R only grows, so a stratum that moves to Spark stays there.
+Each relation is held in the form that produced it and converted on
+demand (:class:`~repro.core.local.Relation`).
+
 Spark specifics: every per-iteration state frame is materialized with a
 truncated lineage (``localCheckpoint``) so plans do not grow across
 iterations. Each materialization is one Spark action that also yields
 the frame's row count (an ``Observation`` rides on the checkpoint or
 the Parquet write), so |Rδ|, |ΔR| and |R| cost no extra query. R ∪ ΔR
 is coalesced to the session's default parallelism, so R's partition
-count stays bounded however many Δs were appended. Because the session
-disables automatic broadcast, all broadcasts are explicit OOF decisions.
+count stays bounded however many Δs were appended. A materialized frame
+is released (its checkpoint unpersisted, or its Parquet commit deleted)
+as soon as the frame that supersedes it exists, so storage stays
+bounded over long runs. Because the session disables automatic
+broadcast, all broadcasts are explicit OOF decisions.
 """
 from __future__ import annotations
 
@@ -43,11 +57,13 @@ import shutil
 import tempfile
 import uuid
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
+import pandas as pd
 from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core import pbme
+from repro.core import local, pbme
 from repro.core.compiler import (
     apply_aggregation,
     compile_rule_body,
@@ -57,11 +73,14 @@ from repro.core.compiler import (
     project_head,
 )
 from repro.core.dedup import dedup
+from repro.core.local import Relation
 from repro.core.options import RecStepOptions
 from repro.core.setdiff import choose_set_difference, set_difference
 from repro.core.stats import StatsCollector
 from repro.datalog.analyzer import AnalyzedProgram, Stratum, analyze as analyze_program
-from repro.datalog.ast import Program
+from repro.datalog.ast import Program, Rule
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -72,6 +91,8 @@ class EngineMetrics:
     setdiff_choices: list[str] = field(default_factory=list)
     analyze_calls: int = 0
     pbme_used: bool = False
+    #: stratum rounds run on the driver (the rest ran on Spark)
+    local_rounds: int = 0
 
 
 @dataclass
@@ -79,7 +100,7 @@ class _Evaluation:
     """The state of one ``evaluate`` call."""
 
     analyzed: AnalyzedProgram
-    rels: dict[str, DataFrame]
+    rels: dict[str, Relation]
     types: dict[str, tuple[str, ...]]
     stats: StatsCollector
     #: FAST-DEDUP's packing bound per IDB (``None``: generic dedup)
@@ -96,6 +117,9 @@ class RecStepEngine:
         self.options = options or RecStepOptions()
         self.metrics = EngineMetrics()
         self._commit_dir: str | None = None
+        #: frames this evaluation materialized and has not released, by
+        #: id: the frame and its Parquet commit path (None: checkpointed)
+        self._owned: dict[int, tuple[DataFrame, str | None]] = {}
         # The row-count metric every materialization observes, built once:
         # each Column built costs Py4J round trips to the JVM.
         self._rows_metric = F.count(F.lit(1)).alias("rows")
@@ -141,19 +165,29 @@ class RecStepEngine:
 
         for pred in analyzed.idbs:
             stats.record(pred, 0)
-        ev = _Evaluation(analyzed, rels, types, stats, analyzed.value_bounds(edb_bound))
+        # IDBs start empty on the driver: a first round there reads them
+        # with no Spark job, and one on Spark converts them for free.
+        ev = _Evaluation(
+            analyzed,
+            {p: Relation(types[p], frame=rels[p]) for p in analyzed.edbs}
+            | {p: Relation(types[p], table=local.empty(types[p])) for p in analyzed.idbs},
+            types,
+            stats,
+            analyzed.value_bounds(edb_bound),
+        )
         self._commit_dir = None if opts.eost else tempfile.mkdtemp(prefix="recstep_commits_")
         try:
             for stratum in analyzed.strata:
                 self._evaluate_stratum(ev, stratum)
             self.metrics.analyze_calls = stats.analyze_calls
+            out = {p: ev.rels[p].spark(self.spark) for p in analyzed.idbs}
             # EOST off: the commit directory is deleted below; pin the
             # results in memory before handing them back.
-            return {
-                p: rels[p] if opts.eost else rels[p].localCheckpoint(eager=True)
-                for p in analyzed.idbs
+            return out if opts.eost else {
+                p: df.localCheckpoint(eager=True) for p, df in out.items()
             }
         finally:
+            self._owned.clear()
             if self._commit_dir is not None:
                 shutil.rmtree(self._commit_dir, ignore_errors=True)
                 self._commit_dir = None
@@ -165,6 +199,7 @@ class RecStepEngine:
         the frame and its row count, both from that one action."""
         obs = Observation()
         df = df.observe(obs, self._rows_metric)
+        path = None
         if self.options.eost:
             frame = df.localCheckpoint(eager=True)
         else:
@@ -172,15 +207,33 @@ class RecStepEngine:
             path = f"{self._commit_dir}/{name}_{uuid.uuid4().hex}"
             df.write.mode("overwrite").parquet(path)
             frame = self.spark.read.parquet(path)
+        self._owned[id(frame)] = (frame, path)
         return frame, obs.get["rows"]
+
+    def _release(self, frame: DataFrame | None) -> None:
+        """Free the storage behind a frame ``_materialize`` made, once no
+        plan reads it any more: unpersist its checkpoint (a later read
+        fails with CHECKPOINT_RDD_BLOCK_ID_NOT_FOUND, so an early release
+        cannot go unnoticed) or delete its Parquet commit. Frames from
+        elsewhere (EDBs, converted pandas) hold no storage of ours."""
+        owned = self._owned.pop(id(frame), None)
+        if owned is None:
+            return
+        if owned[1] is None:
+            frame._jdf.queryExecution().analyzed().rdd().unpersist(False)
+        else:
+            shutil.rmtree(owned[1], ignore_errors=True)
 
     def _bounded(self, df: DataFrame) -> DataFrame:
         """``df`` in at most the session's default parallelism partitions:
         each R ∪ ΔR would otherwise append ΔR's partitions to R's."""
         return df.coalesce(self.spark.sparkContext.defaultParallelism)
 
-    def _uieval(self, parts: list[DataFrame], types: tuple[str, ...]) -> DataFrame:
-        """UNION ALL of the subqueries deriving one IDB.
+    def _uieval(
+        self, parts: list[DataFrame], types: tuple[str, ...]
+    ) -> tuple[DataFrame, list[DataFrame]]:
+        """UNION ALL of the subqueries deriving one IDB, and the frames
+        to release once that union is materialized.
 
         UIE on: a single lazy unioned plan, evaluated as one query (all
         subqueries share the scan/broadcast work and the cores).
@@ -188,70 +241,152 @@ class RecStepEngine:
         with its own overhead), then the results are appended.
         """
         if not parts:
-            return empty_relation(self.spark, types)
+            return empty_relation(self.spark, types), []
         if not self.options.uie:
             parts = [self._materialize(p, "subquery")[0] for p in parts]
         out = parts[0]
         for p in parts[1:]:
             out = out.union(p)
-        return out
+        return out, parts if not self.options.uie else []
 
+    @staticmethod
     def _subqueries(
-        self, ev: _Evaluation, pred: str, deltas: dict[str, DataFrame] | None
-    ) -> list[DataFrame]:
+        ev: _Evaluation,
+        pred: str,
+        deltas: dict[str, Relation] | None,
+        derive: Callable[[Rule, int | None], T],
+    ) -> list[T]:
         """The subqueries deriving ``pred``: one per rule, or with
         ``deltas`` the semi-naive Δ-rewrites — one per body atom whose
         relation has a Δ (the union-of-subqueries construction of
-        Section 3.2 / Figure 4)."""
+        Section 3.2 / Figure 4). ``derive(rule, delta_idx)`` builds one
+        on the round's executor."""
         parts = []
         for rule in ev.analyzed.program.rules_for(pred):
             if deltas is None:
-                sites = [(None, None, None)]
+                sites = [None]
             else:
-                sites = [
-                    (i, deltas[a.pred], f"Δ{a.pred}")
-                    for i, a in enumerate(rule.positive_body)
-                    if a.pred in deltas
-                ]
-            for delta_idx, delta, delta_name in sites:
-                body = compile_rule_body(
-                    rule,
-                    ev.rels,
-                    delta_idx=delta_idx,
-                    delta=delta,
-                    delta_name=delta_name,
-                    stats=ev.stats,
-                    broadcast_rows=self.options.broadcast_rows,
-                )
-                parts.append(
-                    project_head(rule, body, types=ev.types[pred], spark=self.spark)
-                )
+                sites = [i for i, a in enumerate(rule.positive_body) if a.pred in deltas]
+            parts += [derive(rule, i) for i in sites]
         return parts
 
     # -- the semi-naive loop ---------------------------------------------
     def _evaluate_stratum(self, ev: _Evaluation, stratum: Stratum) -> None:
         """Algorithm 1's repeat loop over one stratum. ``deltas`` holds
-        the non-empty ΔR of each IDB, updated as each IDB's step runs."""
-        deltas: dict[str, DataFrame] = {}
+        the non-empty ΔR of each IDB, updated as each IDB's step runs;
+        a superseded or empty Δ is released unless it is still R (the
+        first round's R = ΔR)."""
+        reads = {a.pred for r in stratum.rules for a in r.body} | stratum.predicates
+        deltas: dict[str, Relation] = {}
+        cands = 0  # the previous local round's pre-dedup candidates
         first = True
         while first or (stratum.recursive and deltas):
+            on_driver = self._runs_locally(ev, reads, cands)
+            if on_driver:
+                self.metrics.local_rounds += 1
+                cands = 0
             for pred in sorted(stratum.predicates):
-                parts = self._subqueries(ev, pred, None if first else deltas)
-                delta, rows = self._step(
-                    ev, pred, self._uieval(parts, ev.types[pred]), first=first
-                )
+                d = None if first else deltas
+                if on_driver:
+                    delta, rows, n = self._local_step(ev, pred, d, reads, first=first)
+                    cands += n
+                else:
+                    delta, rows = self._spark_step(ev, pred, d, reads, first=first)
+                superseded = [deltas.pop(pred, None)]
                 if rows:
                     deltas[pred] = delta
                 else:
-                    deltas.pop(pred, None)
+                    superseded.append(delta)  # an empty Δ is never read
+                for d in superseded:
+                    if d is not None and d is not ev.rels[pred]:
+                        self._release(d.frame)
                 self.metrics.iterations[pred] = self.metrics.iterations.get(pred, 0) + 1
             first = False
 
+    def _runs_locally(self, ev: _Evaluation, reads: set[str], cands: int) -> bool:
+        """The round's executor: the driver when every relation the round
+        reads (each Δ is a subset of its R) and the previous local
+        round's candidates are within ``local_rows``."""
+        limit = self.options.local_rows
+        return 0 < limit and cands <= limit and all(ev.stats.rows(p) <= limit for p in reads)
+
+    def _local_step(
+        self,
+        ev: _Evaluation,
+        pred: str,
+        deltas: dict[str, Relation] | None,
+        reads: set[str],
+        *,
+        first: bool,
+    ) -> tuple[Relation, int, int]:
+        """One IDB's round on the driver; returns ΔR, |ΔR| and the
+        pre-dedup candidate count."""
+        stats, types = ev.stats, ev.types[pred]
+        meld = pred in ev.analyzed.meld_idbs
+        rels = {p: ev.rels[p].pandas() for p in reads}
+        parts = self._subqueries(ev, pred, deltas, lambda rule, i: local.derive(
+            rule,
+            rels,
+            types=types,
+            delta_idx=i,
+            delta=None if i is None else deltas[rule.positive_body[i].pred].pandas(),
+        ))
+        raw = pd.concat(parts, ignore_index=True) if parts else local.empty(types)
+        rel, delta, new_rows = local.step(
+            raw,
+            rels[pred],
+            spec=ev.analyzed.agg_specs.get(pred),
+            meld=meld,
+            first=first,
+            types=types,
+        )
+        rows = len(delta)
+        if not meld:
+            # μ = |Rδ| / |r| where r = Rδ ∩ R = Rδ - ΔR, as on Spark.
+            overlap = new_rows - rows
+            ev.mu[pred] = new_rows / overlap if overlap > 0 else None
+        ev.rels[pred] = Relation(types, table=rel)
+        stats.record(pred, len(rel))
+        stats.record(f"Δ{pred}", rows)
+        return (ev.rels[pred] if first else Relation(types, table=delta)), rows, len(raw)
+
+    def _spark_step(
+        self,
+        ev: _Evaluation,
+        pred: str,
+        deltas: dict[str, Relation] | None,
+        reads: set[str],
+        *,
+        first: bool,
+    ) -> tuple[Relation, int]:
+        """One IDB's round on Spark; returns ΔR and |ΔR|."""
+        rels = {p: ev.rels[p].spark(self.spark) for p in reads}
+        parts = self._subqueries(ev, pred, deltas, lambda rule, i: project_head(
+            rule,
+            compile_rule_body(
+                rule,
+                rels,
+                delta_idx=i,
+                delta=None if i is None else deltas[rule.positive_body[i].pred].spark(self.spark),
+                delta_name=None if i is None else f"Δ{rule.positive_body[i].pred}",
+                stats=ev.stats,
+                broadcast_rows=self.options.broadcast_rows,
+            ),
+            types=ev.types[pred],
+            spark=self.spark,
+        ))
+        raw, temps = self._uieval(parts, ev.types[pred])
+        delta, rows = self._step(ev, pred, raw, first=first)
+        for t in temps:
+            self._release(t)
+        return delta, rows
+
     def _step(
         self, ev: _Evaluation, pred: str, raw: DataFrame, *, first: bool
-    ) -> tuple[DataFrame, int]:
-        """Merge one round's candidates for ``pred`` into R; returns ΔR
-        and |ΔR|."""
+    ) -> tuple[Relation, int]:
+        """Merge one round's candidates for ``pred`` into R on Spark;
+        returns ΔR and |ΔR|. Rδ and the old R are released once the
+        frames that supersede them are materialized."""
         opts, stats = self.options, ev.stats
         spec = ev.analyzed.agg_specs.get(pred)
         meld = pred in ev.analyzed.meld_idbs
@@ -271,24 +406,24 @@ class RecStepEngine:
                 out_type=ev.types[pred][spec.agg_position],
             )
 
+        types = ev.types[pred]
         if first:
             # R is empty: R = ΔR = Rδ.
-            rel, rows = self._materialize(cands, pred)
-            ev.rels[pred] = rel
-            if stats.analyze(pred, rel, rows) is None:
+            frame, rows = self._materialize(cands, pred)
+            ev.rels[pred] = Relation(types, frame=frame)
+            if stats.analyze(pred, frame, rows) is None:
                 stats.record(pred, rows)  # DSD needs |R| under OOF-NA too
             stats.record(f"Δ{pred}", rows)
-            return rel, rows
+            return ev.rels[pred], rows
 
+        rel = ev.rels[pred].spark(self.spark)
         if meld:
             # ΔR: candidate groups whose best value strictly improves on
             # (or is absent from) R; R keeps the other groups' rows.
             val = f"c{spec.agg_position}"
             group = [f"c{i}" for i in spec.group_positions]
             new, old = F.col(val), F.col("__old")
-            joined = cands.join(
-                ev.rels[pred].withColumnRenamed(val, "__old"), on=group, how="left"
-            )
+            joined = cands.join(rel.withColumnRenamed(val, "__old"), on=group, how="left")
             better = new < old if spec.op == "MIN" else new > old
             delta, rows = self._materialize(
                 joined.filter(old.isNull() | better).select(
@@ -296,11 +431,8 @@ class RecStepEngine:
                 ),
                 f"{pred}_delta",
             )
-            merged = ev.rels[pred].join(delta.select(*group), on=group, how="left_anti")
-            ev.rels[pred], total = self._materialize(
-                self._bounded(merged.union(delta)), pred
-            )
-            stats.record(pred, total)
+            merged = rel.join(delta.select(*group), on=group, how="left_anti")
+            frame, total = self._materialize(self._bounded(merged.union(delta)), pred)
         else:
             r_delta, new_rows = self._materialize(cands, f"{pred}_rdelta")
             stats.analyze(f"Rδ{pred}", r_delta, new_rows)
@@ -314,23 +446,26 @@ class RecStepEngine:
             delta, rows = self._materialize(
                 set_difference(
                     r_delta,
-                    ev.rels[pred],
+                    rel,
                     method=method,
                     broadcast_threshold_rows=opts.broadcast_rows,
                     new_rows=new_rows,
                 ),
                 f"{pred}_delta",
             )
+            self._release(r_delta)
             # μ = |Rδ| / |r| where r = Rδ ∩ R = Rδ - ΔR.
             overlap = new_rows - rows
             ev.mu[pred] = new_rows / overlap if overlap > 0 else None
+            frame = total = None
             if rows:
-                ev.rels[pred], total = self._materialize(
-                    self._bounded(ev.rels[pred].union(delta)), pred
-                )
-                stats.record(pred, total)
+                frame, total = self._materialize(self._bounded(rel.union(delta)), pred)
+        if frame is not None:
+            ev.rels[pred] = Relation(types, frame=frame)
+            stats.record(pred, total)
+            self._release(rel)
         stats.record(f"Δ{pred}", rows)
-        return delta, rows
+        return Relation(types, frame=delta), rows
 
 
 def _profile(df: DataFrame) -> tuple[int, int | None]:

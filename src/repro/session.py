@@ -61,7 +61,8 @@ def _driver_mem() -> tuple[str, str]:
 def build_session(app_name: str):
     """Start (or return) the local session: driver memory and master
     from the environment, 64 shuffle partitions, Arrow on, automatic
-    broadcast joins off."""
+    broadcast joins off, and no console progress bar (it would
+    interleave ``[Stage N: ...]`` bars with the jobs' result lines)."""
     mem, src = _driver_mem()
     os.environ.setdefault("SPARK_DRIVER_MEM", mem)
     os.environ.setdefault("_SPARK_DRIVER_MEM_SRC", src)
@@ -80,5 +81,6 @@ def build_session(app_name: str):
         .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )

@@ -58,6 +58,7 @@ class TestBigDatalogLike:
         assert not BIGDATALOG_OPTIONS.dsd
         assert not BIGDATALOG_OPTIONS.fast_dedup
         assert not BIGDATALOG_OPTIONS.pbme
+        assert BIGDATALOG_OPTIONS.local_rows == 0  # every round on Spark
         assert BIGDATALOG_OPTIONS.eost  # RDD caching, no commit I/O
 
     def test_tc(self, spark):

@@ -4,7 +4,17 @@ Linear programs are oracle-checked against DuckDB ``WITH RECURSIVE``
 through ``repro.oracle.assert_equivalent``; nonlinear/mutual programs
 are checked against the independent single-node reference engine (whose
 results are fed through the same oracle path).
+
+The program and contract checks run on each round executor: the default
+engine (``local``: these inputs are small, so rounds run on the
+driver), every round on Spark (``spark``) and a threshold that CHAIN's
+closure crosses mid-stratum (``mixed``). Tests of Spark mechanisms pin
+``local_rows=0``.
 """
+import ast
+import inspect
+import os
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -13,7 +23,7 @@ from pyspark.sql.classic import dataframe as classic_df
 from repro import synth_data
 from repro.baselines import souffle_like
 from repro.baselines.naive import NaiveEngine
-from repro.core import RecStepEngine, RecStepOptions
+from repro.core import RecStepEngine, RecStepOptions, local
 from repro.core.compiler import empty_relation
 from repro.core.options import ABLATIONS
 from repro.datalog import analyze, programs
@@ -30,9 +40,26 @@ WEIGHTED = synth_data.add_weights(
 )
 
 
+#: The round executors the program and contract checks run on.
+EXECUTORS = {
+    "spark": RecStepOptions(local_rows=0),
+    "local": RecStepOptions(),
+    # CHAIN's closure (45 tuples) passes 30 rows in round 5 of 10, so
+    # rounds 6-10 run on Spark.
+    "mixed": RecStepOptions(local_rows=30),
+}
+
+
 @pytest.fixture(scope="module")
-def engine(spark):
-    return RecStepEngine(spark)
+def engine(spark, request):
+    """The default engine, or the executor named by an indirect
+    parametrization (the ``*OnSparkAndMixed`` classes)."""
+    return RecStepEngine(spark, EXECUTORS[getattr(request, "param", "local")])
+
+
+#: Reruns a test class's checks with every round on Spark and with a
+#: stratum that crosses from the driver to Spark.
+on_spark_and_mixed = pytest.mark.parametrize("engine", ["spark", "mixed"], indirect=True)
 
 
 def spark_edb(spark, pdfs: dict[str, pd.DataFrame]):
@@ -73,6 +100,11 @@ class TestLinearProgramsVsDuckDB:
         )
 
 
+@on_spark_and_mixed
+class TestLinearProgramsOnSparkAndMixed(TestLinearProgramsVsDuckDB):
+    pass
+
+
 class TestNonlinearProgramsVsReference:
     def test_sg(self, spark, engine):
         out = engine.evaluate(
@@ -97,6 +129,11 @@ class TestNonlinearProgramsVsReference:
             )
 
 
+@on_spark_and_mixed
+class TestNonlinearProgramsOnSparkAndMixed(TestNonlinearProgramsVsReference):
+    pass
+
+
 class TestAggregationPrograms:
     def test_cc_matches_reference(self, spark, engine):
         out = engine.evaluate(
@@ -118,9 +155,19 @@ class TestAggregationPrograms:
         check_tc_count(spark, engine)
 
 
+@on_spark_and_mixed
+class TestAggregationProgramsOnSparkAndMixed(TestAggregationPrograms):
+    pass
+
+
 class TestNegation:
     def test_negated_tc(self, spark, engine):
         check_negated_tc(spark, engine)
+
+
+@on_spark_and_mixed
+class TestNegationOnSparkAndMixed(TestNegation):
+    pass
 
 
 def check_sssp(spark, engine):
@@ -153,7 +200,11 @@ class TestOptionAblations:
     """Every optimization configuration must produce identical results
     (the optimizations change cost, never semantics) — Figure 2's axis."""
 
-    CONFIGS = {**ABLATIONS, "no_dsd_tpsd": RecStepOptions(dsd=False, static_setdiff="tpsd")}
+    CONFIGS = {
+        **ABLATIONS,
+        "no_dsd_tpsd": RecStepOptions(dsd=False, static_setdiff="tpsd", local_rows=0),
+        "default": RecStepOptions(),
+    }
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_tc_same_result(self, spark, name):
@@ -180,12 +231,12 @@ class TestOptionAblations:
         assert_equivalent(out["pointsTo"], "SELECT * FROM expected", expected=expected)
 
     def test_oof_na_runs_no_analyze(self, spark):
-        eng = RecStepEngine(spark, RecStepOptions(oof="na"))
+        eng = RecStepEngine(spark, ABLATIONS["oof_na"])
         eng.evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": CHAIN}))
         assert eng.metrics.analyze_calls == 0
 
     def test_oof_runs_analyze(self, spark):
-        eng = RecStepEngine(spark, RecStepOptions(oof="oof"))
+        eng = RecStepEngine(spark, EXECUTORS["spark"])
         eng.evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": CHAIN}))
         assert eng.metrics.analyze_calls > 0
 
@@ -193,13 +244,15 @@ class TestOptionAblations:
         # On a long chain, |R| grows while |Rδ| shrinks -> β crosses the
         # TPSD threshold in later iterations.
         long_chain = pd.DataFrame({"src": range(30), "dst": range(1, 31)})
-        eng = RecStepEngine(spark, RecStepOptions(alpha=2.0))
+        eng = RecStepEngine(spark, RecStepOptions(alpha=2.0, local_rows=0))
         eng.evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": long_chain}))
         assert "tpsd" in eng.metrics.setdiff_choices
         assert "opsd" in eng.metrics.setdiff_choices
 
     def test_static_setdiff_never_switches(self, spark):
-        eng = RecStepEngine(spark, RecStepOptions(dsd=False, static_setdiff="opsd"))
+        eng = RecStepEngine(
+            spark, RecStepOptions(dsd=False, static_setdiff="opsd", local_rows=0)
+        )
         eng.evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": CHAIN}))
         assert set(eng.metrics.setdiff_choices) == {"opsd"}
 
@@ -217,7 +270,7 @@ class TestFusedCounts:
     @pytest.mark.parametrize("eost", [True, False], ids=["eost", "no_eost"])
     @pytest.mark.parametrize("frame", sorted(FRAMES))
     def test_materialize_returns_row_count(self, spark, tmp_path, eost, frame):
-        eng = RecStepEngine(spark, RecStepOptions(eost=eost))
+        eng = RecStepEngine(spark, RecStepOptions(eost=eost, local_rows=0))
         eng._commit_dir = None if eost else str(tmp_path)
         out, rows = eng._materialize(self.FRAMES[frame](spark), "t")
         assert rows == out.count() == (len(CHAIN) if frame == "non_empty" else 0)
@@ -239,12 +292,14 @@ class TestFusedCounts:
         assert len(calls) == 0
         assert_equivalent(out["tc"], TC_SQL, arc=CHAIN)
 
-    def test_r_partitions_stay_bounded(self, spark, engine):
+    def test_r_partitions_stay_bounded(self, spark):
         # Every round appends ΔR's partitions to R unless R ∪ ΔR is
         # coalesced, so a chain longer than the parallelism exceeds it.
         dp = spark.sparkContext.defaultParallelism
         chain = pd.DataFrame({"src": range(dp + 4), "dst": range(1, dp + 5)})
-        out = engine.evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": chain}))
+        out = RecStepEngine(spark, EXECUTORS["spark"]).evaluate(
+            programs.get_program("tc"), spark_edb(spark, {"arc": chain})
+        )
         assert out["tc"].rdd.getNumPartitions() <= dp
         assert_equivalent(out["tc"], TC_SQL, arc=chain)
 
@@ -289,10 +344,121 @@ class TestEngineContract:
 
     @pytest.mark.parametrize(
         "make",
-        [RecStepEngine, lambda s: RecStepEngine(s, RecStepOptions(pbme=True)), NaiveEngine],
+        [
+            lambda s, e: e,
+            lambda s, e: RecStepEngine(
+                s, RecStepOptions(pbme=True, local_rows=e.options.local_rows)
+            ),
+            lambda s, e: NaiveEngine(s),
+        ],
         ids=["recstep", "recstep_pbme", "naive"],
     )
-    def test_string_ids(self, spark, make):
+    def test_string_ids(self, spark, engine, make):
         arc = pd.DataFrame({"src": ["u", "v"], "dst": ["v", "w"]})
-        out = make(spark).evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": arc}))
+        out = make(spark, engine).evaluate(
+            programs.get_program("tc"), spark_edb(spark, {"arc": arc})
+        )
         assert_equivalent(out["tc"], TC_SQL, arc=arc)
+
+
+@on_spark_and_mixed
+class TestEngineContractOnSparkAndMixed(TestEngineContract):
+    pass
+
+
+class TestRoundExecutors:
+    """The driver and Spark executors run the same rounds; a stratum
+    moves from the driver to Spark when its relations outgrow
+    ``local_rows``."""
+
+    CASES = {
+        "tc_chain": ("tc", {"arc": CHAIN}),
+        "tc_graph": ("tc", {"arc": GRAPH}),
+        "sssp": (
+            "sssp",
+            {"arc": WEIGHTED, "id": pd.DataFrame({"v": [int(WEIGHTED["src"].iloc[0])]})},
+        ),
+        "tc_count": ("tc_count", {"arc": CHAIN}),
+        "negated_tc": ("negated_tc", {"arc": CHAIN}),
+        "cspa": (
+            "cspa",
+            {k: v.head(50) for k, v in synth_data.cspa_input(scale=1, seed=5).items()},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_iterations_and_result(self, spark, case):
+        program, pdfs = self.CASES[case]
+        edb = spark_edb(spark, pdfs)
+        runs = {}
+        for name, opts in EXECUTORS.items():
+            eng = RecStepEngine(spark, opts)
+            out = eng.evaluate(programs.get_program(program), edb)
+            rows = {p: sorted(map(tuple, df.collect())) for p, df in out.items()}
+            runs[name] = (eng.metrics.iterations, rows, eng.metrics.local_rounds)
+        assert runs["spark"][0] == runs["local"][0] == runs["mixed"][0]
+        assert runs["spark"][1] == runs["local"][1] == runs["mixed"][1]
+        assert runs["spark"][2] == 0
+
+    def test_default_runs_chain_on_the_driver(self, spark):
+        eng = RecStepEngine(spark)
+        eng.evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": CHAIN}))
+        assert eng.metrics.local_rounds == eng.metrics.iterations["tc"] == 10
+
+    def test_mixed_moves_to_spark_mid_stratum(self, spark):
+        eng = RecStepEngine(spark, EXECUTORS["mixed"])
+        out = eng.evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": CHAIN}))
+        assert (eng.metrics.local_rounds, eng.metrics.iterations["tc"]) == (5, 10)
+        assert_equivalent(out["tc"], TC_SQL, arc=CHAIN)
+
+    def test_results_are_typed_spark_frames(self, spark, engine):
+        arc = spark.createDataFrame([], "src bigint, dst bigint")
+        out = engine.evaluate(programs.get_program("tc"), {"arc": arc})
+        assert out["tc"].dtypes == [("c0", "bigint"), ("c1", "bigint")]
+        assert out["tc"].count() == 0
+
+    def test_local_and_oracle_share_no_code(self):
+        """``souffle_like`` stays an independent oracle of the driver
+        executor: neither module imports the other."""
+        for mod, other in [(local, "souffle_like"), (souffle_like, "local")]:
+            tree = ast.parse(inspect.getsource(mod))
+            names = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+            names |= {
+                f"{n.module}.{a.name}"
+                for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                for a in n.names
+            }
+            assert not any(name.split(".")[-1] == other or f".{other}." in name
+                           for name in names), (mod.__name__, names)
+
+
+class TestReleasedStorage:
+    """Each superseded checkpoint or Parquet commit is released once the
+    frame that replaces it exists, so storage does not grow with the
+    number of rounds."""
+
+    LONG_CHAIN = pd.DataFrame({"src": range(40), "dst": range(1, 41)})
+
+    @pytest.mark.parametrize("name", ["all_on", "no_uie", "no_eost"])
+    def test_held_storage_stays_bounded(self, spark, monkeypatch, name):
+        eng = RecStepEngine(spark, ABLATIONS[name])
+        persisted = spark.sparkContext._jsc.getPersistentRDDs
+        before = persisted().size()
+        held = []
+        choose = RecStepEngine._runs_locally
+
+        def observed(self, *args):
+            # Called as each round starts, after the last one's releases.
+            commits = len(os.listdir(self._commit_dir)) if self._commit_dir else 0
+            held.append(persisted().size() - before + commits)
+            return choose(self, *args)
+
+        monkeypatch.setattr(RecStepEngine, "_runs_locally", observed)
+        arc = spark_edb(spark, {"arc": self.LONG_CHAIN})
+        out = eng.evaluate(programs.get_program("tc"), arc)
+        assert len(held) == eng.metrics.iterations["tc"] == 41
+        # The EDB's checkpoint, R and ΔR, whatever the number of rounds.
+        assert max(held) <= 3, held
+        # The EDB's checkpoint and R (EOST off: the checkpointed result).
+        assert persisted().size() - before <= 2
+        assert_equivalent(out["tc"], TC_SQL, arc=self.LONG_CHAIN)

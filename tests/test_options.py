@@ -13,7 +13,8 @@ class TestValidation:
         assert o.oof == "oof" and not o.pbme
 
     def test_all_on(self):
-        assert ABLATIONS["all_on"] == RecStepOptions()
+        # The default engine with every round on Spark.
+        assert ABLATIONS["all_on"] == RecStepOptions(local_rows=0)
 
     def test_all_off(self):
         o = ABLATIONS["all_off"]
@@ -25,8 +26,8 @@ class TestValidation:
         # no_<field> turns a boolean field off; oof_<mode> sets the OOF mode.
         prefix, rest = name.split("_", 1)
         expected = {rest: False} if prefix == "no" else {"oof": rest}
-        default = asdict(RecStepOptions())
-        changed = {k: v for k, v in asdict(ABLATIONS[name]).items() if v != default[k]}
+        all_on = asdict(ABLATIONS["all_on"])
+        changed = {k: v for k, v in asdict(ABLATIONS[name]).items() if v != all_on[k]}
         assert changed == expected
 
     def test_bad_oof_mode(self):
@@ -36,6 +37,10 @@ class TestValidation:
     def test_bad_static_setdiff(self):
         with pytest.raises(ValueError, match="static_setdiff"):
             RecStepOptions(static_setdiff="threephase")
+
+    def test_local_rows_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="local_rows"):
+            RecStepOptions(local_rows=-1)
 
     def test_alpha_must_exceed_one(self):
         with pytest.raises(ValueError, match="alpha"):

@@ -1,4 +1,5 @@
-"""Driver-memory rules of the session builder, on faked files (no Spark)."""
+"""Driver-memory rules of the session builder, on faked files (no Spark),
+and the settings of the session it builds."""
 import pytest
 
 from repro import session
@@ -69,3 +70,8 @@ def test_meminfo_half_clamped(files):
 
 def test_no_meminfo(files):
     assert session._driver_mem() == ("2g", "fallback")
+
+
+def test_console_progress_bar_off(spark):
+    # Jobs print result lines to stdout; progress bars would interleave.
+    assert spark.sparkContext.getConf().get("spark.ui.showConsoleProgress") == "false"
