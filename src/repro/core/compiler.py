@@ -4,18 +4,23 @@ This is RecStep's "query generator" (Figure 1) retargeted from SQL text
 to the DataFrame API (both compile to the same relational algebra; the
 DataFrame form composes better with per-iteration plan decisions).
 
-A rule body compiles to a left-to-right join pipeline:
+A rule compiles first to an executor-neutral :class:`RulePlan`
+(:func:`plan_rule`), which holds every semantic decision: a
+left-to-right join pipeline in which
 
 - each positive atom projects its relation onto the rule's variables
   (constants filtered, intra-atom repeated variables unified, wildcards
-  dropped) and joins with the accumulated frame on the shared variables;
+  dropped) and joins with the accumulated rows on the shared variables;
 - builtin conditions become filters;
-- negated atoms become ``left_anti`` joins (stratified negation as SQL
-  difference, Section 3.3);
-- the head projects variables/constants to positional columns
-  ``c0..c{k-1}``; aggregate heads materialize the aggregate's input
-  expression (grouping happens in the engine, which owns set-vs-meld
-  semantics).
+- negated atoms become anti joins (stratified negation as SQL
+  difference, Section 3.3) on the variables they share with the body;
+- the head projects variables/constants/arithmetic to positional
+  columns ``c0..c{k-1}``; aggregate heads materialize the aggregate's
+  input expression (grouping happens in the engine, which owns
+  set-vs-meld semantics).
+
+:func:`compile_rule_body` and :func:`project_head` run a plan on Spark;
+:mod:`repro.core.local` runs the same plan over pandas on the driver.
 
 :func:`load_relations` sets up an evaluation's starting relations and
 column types, the same way for every engine built on this compiler.
@@ -26,6 +31,10 @@ row counts is supplied, the small side of each join is broadcast-hinted
 statistics. Without statistics (OOF-NA) the plan is static.
 """
 from __future__ import annotations
+
+import operator
+from dataclasses import dataclass
+from functools import reduce
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -89,67 +98,136 @@ def load_relations(
     return rels, types
 
 
-def _atom_plan(atom: Atom, rel: DataFrame) -> DataFrame:
-    """Project one atom occurrence onto its variables."""
-    df = rel
-    cond = None
-    first_col: dict[str, str] = {}
-    selected: list = []
+# -- the executor-neutral rule plan ---------------------------------------
+@dataclass(frozen=True)
+class Scan:
+    """One body atom occurrence: the rows of ``pred`` holding each
+    constant of ``consts`` (position, value) and agreeing on each
+    repeated variable of ``same`` (position, position of its first
+    occurrence), projected onto ``project`` (variable, position). An atom
+    without variables projects onto nothing: an existence guard whose
+    one marker row (or none) the body joins with."""
+
+    pred: str
+    consts: tuple[tuple[int, int], ...]
+    same: tuple[tuple[int, int], ...]
+    project: tuple[tuple[str, int], ...]
+
+
+@dataclass(frozen=True)
+class RulePlan:
+    """A rule as the relational steps every round executor runs:
+
+    - ``positives``: the positive atoms, joined left to right, each on
+      its ``keys`` entry (the variables it shares with the atoms before
+      it; none: a cross join);
+    - ``conditions``: filters over the joined variables;
+    - ``negations``: anti joins, each on the variables its atom shares
+      with the body;
+    - ``head``: one expression per head position; an aggregate term
+      yields its input expression (the engine groups).
+
+    A fact has no positives and an all-constant head."""
+
+    positives: tuple[Scan, ...]
+    keys: tuple[tuple[str, ...], ...]
+    conditions: tuple[Condition, ...]
+    negations: tuple[tuple[Scan, tuple[str, ...]], ...]
+    head: tuple[Var | Const | BinExpr, ...]
+
+
+#: Arithmetic and comparison operators; both apply to Spark columns and
+#: to numpy arrays alike.
+ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+COMPARISONS = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def plan_rule(rule: Rule) -> RulePlan:
+    """The executor-neutral plan of a rule; raises :class:`CompileError`
+    for a rule no executor can run."""
+    positives, keys, bound = [], [], set()
+    for atom in rule.positive_body:
+        scan = _scan(atom)
+        names = {v for v, _ in scan.project}
+        keys.append(tuple(sorted(bound & names)))
+        positives.append(scan)
+        bound |= names
+    for cond in rule.conditions:
+        _check_bound(cond.left, bound)
+        _check_bound(cond.right, bound)
+    negations = []
+    for atom in rule.negated_body:
+        scan = _scan(atom)
+        on = tuple(sorted(bound & {v for v, _ in scan.project}))
+        if not on:
+            raise CompileError(f"negated atom {atom} shares no variables with the body")
+        negations.append((scan, on))
+    head = []
+    for term in rule.head.terms:
+        expr = term.expr if isinstance(term, AggTerm) else term
+        if not isinstance(expr, (Var, Const, BinExpr)):
+            raise CompileError(f"unsupported head term {term}")
+        if not positives and not isinstance(expr, Const):
+            raise CompileError(f"fact rule with non-constant head: {rule}")
+        _check_bound(expr, bound if positives else set())
+        head.append(expr)
+    return RulePlan(tuple(positives), tuple(keys), rule.conditions, tuple(negations), tuple(head))
+
+
+def _scan(atom: Atom) -> Scan:
+    consts, same, first = [], [], {}
     for pos, term in enumerate(atom.terms):
-        col = f"c{pos}"
         if isinstance(term, Const):
-            c = F.col(col) == F.lit(term.value)
-            cond = c if cond is None else (cond & c)
+            consts.append((pos, term.value))
         elif isinstance(term, Var):
-            if term.name in first_col:
-                c = F.col(col) == F.col(first_col[term.name])
-                cond = c if cond is None else (cond & c)
+            if term.name in first:
+                same.append((pos, first[term.name]))
             else:
-                first_col[term.name] = col
-                selected.append(F.col(col).alias(term.name))
-        elif isinstance(term, Wildcard):
-            continue
-        else:
+                first[term.name] = pos
+        elif not isinstance(term, Wildcard):
             raise CompileError(f"unsupported body term {term} in {atom}")
-    if cond is not None:
-        df = df.filter(cond)
-    if selected:
-        return df.select(*selected)
-    # All-constant/wildcard atom: acts as an existence guard. One marker
-    # row survives iff the (filtered) relation is non-empty; the marker
-    # column is dropped after the joins.
-    return df.select(F.lit(1).alias("__exists")).limit(1)
+    return Scan(atom.pred, tuple(consts), tuple(same), tuple(first.items()))
 
 
-def _expr_column(expr, available: set[str]):
-    if isinstance(expr, Const):
-        return F.lit(expr.value)
-    if isinstance(expr, Var):
-        if expr.name not in available:
-            raise CompileError(f"unbound variable {expr.name}")
-        return F.col(expr.name)
+def _check_bound(expr, bound: set[str]) -> None:
+    if isinstance(expr, Var) and expr.name not in bound:
+        raise CompileError(f"unbound variable {expr.name}")
     if isinstance(expr, BinExpr):
-        left = _expr_column(expr.left, available)
-        right = _expr_column(expr.right, available)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        return left * right
-    raise CompileError(f"unsupported expression {expr}")
+        _check_bound(expr.left, bound)
+        _check_bound(expr.right, bound)
+    elif not isinstance(expr, (Var, Const)):
+        raise CompileError(f"unsupported expression {expr}")
 
 
-def _condition_filter(cond: Condition, available: set[str]):
-    left = _expr_column(cond.left, available)
-    right = _expr_column(cond.right, available)
-    return {
-        "=": left == right,
-        "!=": left != right,
-        "<": left < right,
-        "<=": left <= right,
-        ">": left > right,
-        ">=": left >= right,
-    }[cond.op]
+def evaluate_expr(expr, column, literal, arithmetic=None):
+    """``expr`` over one executor's values: ``column(var)`` and
+    ``literal(value)`` build its leaves, ``arithmetic(op, left, right)``
+    (default :data:`ARITHMETIC`) its operators."""
+    if isinstance(expr, Const):
+        return literal(expr.value)
+    if isinstance(expr, Var):
+        return column(expr.name)
+    left = evaluate_expr(expr.left, column, literal, arithmetic)
+    right = evaluate_expr(expr.right, column, literal, arithmetic)
+    if arithmetic is None:
+        return ARITHMETIC[expr.op](left, right)
+    return arithmetic(expr.op, left, right)
+
+
+# -- the Spark executor ----------------------------------------------------
+_EXISTS = "__exists"
+
+
+def _scan_frame(scan: Scan, rel: DataFrame) -> DataFrame:
+    conds = [F.col(f"c{p}") == F.lit(v) for p, v in scan.consts]
+    conds += [F.col(f"c{p}") == F.col(f"c{q}") for p, q in scan.same]
+    df = rel.filter(reduce(operator.and_, conds)) if conds else rel
+    if scan.project:
+        return df.select(*(F.col(f"c{p}").alias(v) for v, p in scan.project))
+    return df.select(F.lit(1).alias(_EXISTS)).limit(1)
 
 
 def _maybe_broadcast(
@@ -174,52 +252,39 @@ def compile_rule_body(
     stats: StatsCollector | None = None,
     broadcast_rows: int = 200_000,
 ) -> DataFrame | None:
-    """Compile the body into a frame whose columns are the rule's
-    variables, or ``None`` for a body with no positive atoms (a fact).
+    """The rule's :class:`RulePlan` body as a Spark frame whose columns
+    are the rule's variables, or ``None`` for a fact.
 
     Positive atom #``delta_idx`` (counting positives only) reads from
     ``delta`` — the semi-naive Δ-rewrite. ``delta_name`` lets OOF look up
     the Δ table's statistics for join-side decisions.
     """
+    plan = plan_rule(rule)
+    if not plan.positives:
+        return None
     acc: DataFrame | None = None
-    pos_idx = -1
-    pending_neg: list[Atom] = []
-    for atom in rule.body:
-        if atom.negated:
-            pending_neg.append(atom)
-            continue
-        pos_idx += 1
-        if delta_idx is not None and pos_idx == delta_idx:
+    for i, (scan, keys) in enumerate(zip(plan.positives, plan.keys)):
+        if i == delta_idx:
+            assert delta is not None
             rel, rel_name = delta, delta_name
-            assert rel is not None
         else:
-            rel, rel_name = rels[atom.pred], atom.pred
-        part = _atom_plan(atom, rel)
+            rel, rel_name = rels[scan.pred], scan.pred
+        part = _scan_frame(scan, rel)
         if acc is None:
             acc = part
             continue
-        shared = sorted(set(acc.columns) & set(part.columns))
         part = _maybe_broadcast(part, rel_name, stats, broadcast_rows)
-        if shared:
-            acc = acc.join(part, on=shared, how="inner")
-        else:
-            acc = acc.crossJoin(part)
-    if acc is None:
-        return None
-    if "__exists" in acc.columns:
-        acc = acc.drop("__exists")
-    available = set(acc.columns)
-    for cond in rule.conditions:
-        acc = acc.filter(_condition_filter(cond, available))
-    for atom in pending_neg:
-        probe = _atom_plan(atom, rels[atom.pred]).dropDuplicates()
-        on = sorted(set(acc.columns) & set(probe.columns))
-        if not on:
-            raise CompileError(
-                f"negated atom {atom} shares no variables with the body"
-            )
-        probe = _maybe_broadcast(probe, atom.pred, stats, broadcast_rows)
-        acc = acc.join(probe, on=on, how="left_anti")
+        acc = acc.join(part, on=list(keys), how="inner") if keys else acc.crossJoin(part)
+    if _EXISTS in acc.columns:
+        acc = acc.drop(_EXISTS)
+    for cond in plan.conditions:
+        acc = acc.filter(COMPARISONS[cond.op](
+            evaluate_expr(cond.left, F.col, F.lit), evaluate_expr(cond.right, F.col, F.lit)
+        ))
+    for scan, on in plan.negations:
+        probe = _scan_frame(scan, rels[scan.pred]).select(*on).dropDuplicates()
+        probe = _maybe_broadcast(probe, scan.pred, stats, broadcast_rows)
+        acc = acc.join(probe, on=list(on), how="left_anti")
     return acc
 
 
@@ -236,29 +301,13 @@ def project_head(
     engine applies the actual grouping). A ``None`` body means a fact
     rule — a one-row frame of constants is produced (needs ``spark``).
     """
+    cols = [
+        evaluate_expr(expr, F.col, F.lit).cast(_spark_type(types[pos])).alias(f"c{pos}")
+        for pos, expr in enumerate(plan_rule(rule).head)
+    ]
     if body is None:
         assert spark is not None, "fact rules need a SparkSession"
-        cols = []
-        for pos, term in enumerate(rule.head.terms):
-            if not isinstance(term, Const):
-                raise CompileError(f"fact rule with non-constant head: {rule}")
-            cols.append(F.lit(term.value).cast(_spark_type(types[pos])).alias(f"c{pos}"))
         return spark.range(1).select(*cols)
-    available = set(body.columns)
-    cols = []
-    for pos, term in enumerate(rule.head.terms):
-        name = f"c{pos}"
-        if isinstance(term, Var):
-            expr = F.col(term.name)
-        elif isinstance(term, Const):
-            expr = F.lit(term.value)
-        elif isinstance(term, AggTerm):
-            expr = _expr_column(term.expr, available)
-        elif isinstance(term, BinExpr):
-            expr = _expr_column(term, available)
-        else:
-            raise CompileError(f"unsupported head term {term}")
-        cols.append(expr.cast(_spark_type(types[pos])).alias(name))
     return body.select(*cols)
 
 

@@ -30,14 +30,19 @@ path for TC/SG-shaped programs (Section 5.3).
 
 Each round picks its executor once, for the whole stratum: when every
 relation the round reads (each EDB and IDB its rules scan, and the
-stratum's own R, which bounds each Δ) and the previous local round's
-candidates are within ``RecStepOptions.local_rows`` rows, the round runs
-on the driver over pandas (:mod:`repro.core.local`) with the same dedup,
-set-difference, meld and aggregation semantics; otherwise on Spark. The
-row counts are the ones OOF already records, so the choice runs no
-Spark job. R only grows, so a stratum that moves to Spark stays there.
+stratum's own R, which bounds each Δ) is within
+``RecStepOptions.local_rows`` rows, the round runs on the driver over
+pandas (:mod:`repro.core.local`), interpreting the same rule plans with
+the same dedup, set-difference, meld and aggregation semantics;
+otherwise on Spark. The row counts are the ones OOF already records, so
+the choice runs no Spark job. A driver step whose join or candidates
+would exceed ``local_rows`` rows, or whose data pandas would answer
+differently (NULLs, overflow, strings meeting numbers), raises
+``local.Fallback`` before it changes anything and runs on Spark; from
+then on, as once R outgrows the bound, the stratum stays on Spark.
 Each relation is held in the form that produced it and converted on
-demand (:class:`~repro.core.local.Relation`).
+demand, at most once per version: ``toPandas`` for a driver round, a
+Parquet write read back by Spark for a Spark one (:meth:`_frame`).
 
 Spark specifics: every per-iteration state frame is materialized with a
 truncated lineage (``localCheckpoint``) so plans do not grow across
@@ -57,7 +62,6 @@ import shutil
 import tempfile
 import uuid
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
 
 import pandas as pd
 from pyspark.sql import DataFrame, Observation, SparkSession
@@ -71,6 +75,7 @@ from repro.core.compiler import (
     load_relations,
     positional_columns,
     project_head,
+    schema,
 )
 from repro.core.dedup import dedup
 from repro.core.local import Relation
@@ -80,9 +85,6 @@ from repro.core.stats import StatsCollector
 from repro.datalog.analyzer import AnalyzedProgram, Stratum, analyze as analyze_program
 from repro.datalog.ast import Program, Rule
 
-T = TypeVar("T")
-
-
 @dataclass
 class EngineMetrics:
     """Observable evaluation behaviour, used by tests and benchmarks."""
@@ -91,7 +93,7 @@ class EngineMetrics:
     setdiff_choices: list[str] = field(default_factory=list)
     analyze_calls: int = 0
     pbme_used: bool = False
-    #: stratum rounds run on the driver (the rest ran on Spark)
+    #: stratum rounds whose every step ran on the driver
     local_rounds: int = 0
 
 
@@ -116,9 +118,11 @@ class RecStepEngine:
         self.spark = spark
         self.options = options or RecStepOptions()
         self.metrics = EngineMetrics()
+        #: the evaluation's Parquet files: commits (EOST off) and relations
+        #: handed from the driver to Spark
         self._commit_dir: str | None = None
-        #: frames this evaluation materialized and has not released, by
-        #: id: the frame and its Parquet commit path (None: checkpointed)
+        #: frames this evaluation made and has not released, by id: the
+        #: frame and its Parquet path (None: checkpointed)
         self._owned: dict[int, tuple[DataFrame, str | None]] = {}
         # The row-count metric every materialization observes, built once:
         # each Column built costs Py4J round trips to the JVM.
@@ -175,17 +179,19 @@ class RecStepEngine:
             stats,
             analyzed.value_bounds(edb_bound),
         )
-        self._commit_dir = None if opts.eost else tempfile.mkdtemp(prefix="recstep_commits_")
+        self._commit_dir = tempfile.mkdtemp(prefix="recstep_")
         try:
             for stratum in analyzed.strata:
                 self._evaluate_stratum(ev, stratum)
             self.metrics.analyze_calls = stats.analyze_calls
-            out = {p: ev.rels[p].spark(self.spark) for p in analyzed.idbs}
-            # EOST off: the commit directory is deleted below; pin the
-            # results in memory before handing them back.
-            return out if opts.eost else {
-                p: df.localCheckpoint(eager=True) for p, df in out.items()
-            }
+            out = {}
+            for p in analyzed.idbs:
+                df = self._frame(ev.rels[p])
+                # The directory is deleted below: pin a result that reads
+                # its files in memory before handing it back.
+                files = self._owned.get(id(df), (df, None))[1]
+                out[p] = df.localCheckpoint(eager=True) if files else df
+            return out
         finally:
             self._owned.clear()
             if self._commit_dir is not None:
@@ -210,12 +216,28 @@ class RecStepEngine:
         self._owned[id(frame)] = (frame, path)
         return frame, obs.get["rows"]
 
+    def _frame(self, rel: Relation) -> DataFrame:
+        """``rel`` as a Spark frame. A driver-held version is written to
+        Parquet once and read back, so each Spark scan of it reads files
+        rather than re-shipping its rows from the driver."""
+        if rel.frame is None:
+            if rel.table.empty:
+                rel.frame = empty_relation(self.spark, rel.types)
+            else:
+                path = f"{self._commit_dir}/handoff_{uuid.uuid4().hex}"
+                local.write_parquet(
+                    rel.table, rel.types, path, self.spark.sparkContext.defaultParallelism
+                )
+                rel.frame = self.spark.read.schema(schema(rel.types)).parquet(path)
+                self._owned[id(rel.frame)] = (rel.frame, path)
+        return rel.frame
+
     def _release(self, frame: DataFrame | None) -> None:
         """Free the storage behind a frame ``_materialize`` made, once no
         plan reads it any more: unpersist its checkpoint (a later read
         fails with CHECKPOINT_RDD_BLOCK_ID_NOT_FOUND, so an early release
-        cannot go unnoticed) or delete its Parquet commit. Frames from
-        elsewhere (EDBs, converted pandas) hold no storage of ours."""
+        cannot go unnoticed) or delete its Parquet files. Frames from
+        elsewhere (EDBs, empty relations) hold no storage of ours."""
         owned = self._owned.pop(id(frame), None)
         if owned is None:
             return
@@ -250,25 +272,22 @@ class RecStepEngine:
         return out, parts if not self.options.uie else []
 
     @staticmethod
-    def _subqueries(
-        ev: _Evaluation,
-        pred: str,
-        deltas: dict[str, Relation] | None,
-        derive: Callable[[Rule, int | None], T],
-    ) -> list[T]:
-        """The subqueries deriving ``pred``: one per rule, or with
-        ``deltas`` the semi-naive Δ-rewrites — one per body atom whose
-        relation has a Δ (the union-of-subqueries construction of
-        Section 3.2 / Figure 4). ``derive(rule, delta_idx)`` builds one
-        on the round's executor."""
-        parts = []
+    def _sites(
+        ev: _Evaluation, pred: str, deltas: dict[str, Relation] | None
+    ) -> list[tuple[Rule, int | None]]:
+        """The subqueries deriving ``pred``, as (rule, Δ position): one
+        per rule, or with ``deltas`` the semi-naive Δ-rewrites — one per
+        body atom whose relation has a Δ (the union-of-subqueries
+        construction of Section 3.2 / Figure 4)."""
+        sites: list[tuple[Rule, int | None]] = []
         for rule in ev.analyzed.program.rules_for(pred):
             if deltas is None:
-                sites = [None]
+                sites.append((rule, None))
             else:
-                sites = [i for i, a in enumerate(rule.positive_body) if a.pred in deltas]
-            parts += [derive(rule, i) for i in sites]
-        return parts
+                sites += [
+                    (rule, i) for i, a in enumerate(rule.positive_body) if a.pred in deltas
+                ]
+        return sites
 
     # -- the semi-naive loop ---------------------------------------------
     def _evaluate_stratum(self, ev: _Evaluation, stratum: Stratum) -> None:
@@ -278,19 +297,18 @@ class RecStepEngine:
         first round's R = ΔR)."""
         reads = {a.pred for r in stratum.rules for a in r.body} | stratum.predicates
         deltas: dict[str, Relation] = {}
-        cands = 0  # the previous local round's pre-dedup candidates
+        on_driver = True  # until the stratum moves to Spark
         first = True
         while first or (stratum.recursive and deltas):
-            on_driver = self._runs_locally(ev, reads, cands)
-            if on_driver:
-                self.metrics.local_rounds += 1
-                cands = 0
+            on_driver = self._runs_locally(ev, reads) and on_driver
             for pred in sorted(stratum.predicates):
                 d = None if first else deltas
                 if on_driver:
-                    delta, rows, n = self._local_step(ev, pred, d, reads, first=first)
-                    cands += n
-                else:
+                    try:
+                        delta, rows = self._local_step(ev, pred, d, reads, first=first)
+                    except local.Fallback:
+                        on_driver = False
+                if not on_driver:
                     delta, rows = self._spark_step(ev, pred, d, reads, first=first)
                 superseded = [deltas.pop(pred, None)]
                 if rows:
@@ -301,14 +319,14 @@ class RecStepEngine:
                     if d is not None and d is not ev.rels[pred]:
                         self._release(d.frame)
                 self.metrics.iterations[pred] = self.metrics.iterations.get(pred, 0) + 1
+            self.metrics.local_rounds += on_driver
             first = False
 
-    def _runs_locally(self, ev: _Evaluation, reads: set[str], cands: int) -> bool:
-        """The round's executor: the driver when every relation the round
-        reads (each Δ is a subset of its R) and the previous local
-        round's candidates are within ``local_rows``."""
+    def _runs_locally(self, ev: _Evaluation, reads: set[str]) -> bool:
+        """Whether a round starts on the driver: every relation it reads
+        (each Δ is a subset of its R) is within ``local_rows``."""
         limit = self.options.local_rows
-        return 0 < limit and cands <= limit and all(ev.stats.rows(p) <= limit for p in reads)
+        return 0 < limit and all(ev.stats.rows(p) <= limit for p in reads)
 
     def _local_step(
         self,
@@ -318,19 +336,27 @@ class RecStepEngine:
         reads: set[str],
         *,
         first: bool,
-    ) -> tuple[Relation, int, int]:
-        """One IDB's round on the driver; returns ΔR, |ΔR| and the
-        pre-dedup candidate count."""
-        stats, types = ev.stats, ev.types[pred]
+    ) -> tuple[Relation, int]:
+        """One IDB's round on the driver; returns ΔR and |ΔR|. Raises
+        ``local.Fallback``, having changed nothing, when a join or the
+        round's candidates would exceed ``local_rows`` or the data needs
+        Spark's semantics."""
+        stats, types, limit = ev.stats, ev.types[pred], self.options.local_rows
         meld = pred in ev.analyzed.meld_idbs
         rels = {p: ev.rels[p].pandas() for p in reads}
-        parts = self._subqueries(ev, pred, deltas, lambda rule, i: local.derive(
-            rule,
-            rels,
-            types=types,
-            delta_idx=i,
-            delta=None if i is None else deltas[rule.positive_body[i].pred].pandas(),
-        ))
+        parts, cands = [], 0
+        for rule, i in self._sites(ev, pred, deltas):
+            parts.append(local.derive(
+                rule,
+                rels,
+                types=types,
+                max_rows=limit,
+                delta_idx=i,
+                delta=None if i is None else deltas[rule.positive_body[i].pred].pandas(),
+            ))
+            cands += len(parts[-1])
+            if cands > limit:
+                raise local.Fallback(f"{cands} candidates")
         raw = pd.concat(parts, ignore_index=True) if parts else local.empty(types)
         rel, delta, new_rows = local.step(
             raw,
@@ -348,7 +374,7 @@ class RecStepEngine:
         ev.rels[pred] = Relation(types, table=rel)
         stats.record(pred, len(rel))
         stats.record(f"Δ{pred}", rows)
-        return (ev.rels[pred] if first else Relation(types, table=delta)), rows, len(raw)
+        return (ev.rels[pred] if first else Relation(types, table=delta)), rows
 
     def _spark_step(
         self,
@@ -360,21 +386,24 @@ class RecStepEngine:
         first: bool,
     ) -> tuple[Relation, int]:
         """One IDB's round on Spark; returns ΔR and |ΔR|."""
-        rels = {p: ev.rels[p].spark(self.spark) for p in reads}
-        parts = self._subqueries(ev, pred, deltas, lambda rule, i: project_head(
-            rule,
-            compile_rule_body(
+        rels = {p: self._frame(ev.rels[p]) for p in reads}
+        parts = [
+            project_head(
                 rule,
-                rels,
-                delta_idx=i,
-                delta=None if i is None else deltas[rule.positive_body[i].pred].spark(self.spark),
-                delta_name=None if i is None else f"Δ{rule.positive_body[i].pred}",
-                stats=ev.stats,
-                broadcast_rows=self.options.broadcast_rows,
-            ),
-            types=ev.types[pred],
-            spark=self.spark,
-        ))
+                compile_rule_body(
+                    rule,
+                    rels,
+                    delta_idx=i,
+                    delta=None if i is None else self._frame(deltas[rule.positive_body[i].pred]),
+                    delta_name=None if i is None else f"Δ{rule.positive_body[i].pred}",
+                    stats=ev.stats,
+                    broadcast_rows=self.options.broadcast_rows,
+                ),
+                types=ev.types[pred],
+                spark=self.spark,
+            )
+            for rule, i in self._sites(ev, pred, deltas)
+        ]
         raw, temps = self._uieval(parts, ev.types[pred])
         delta, rows = self._step(ev, pred, raw, first=first)
         for t in temps:
@@ -416,7 +445,7 @@ class RecStepEngine:
             stats.record(f"Δ{pred}", rows)
             return ev.rels[pred], rows
 
-        rel = ev.rels[pred].spark(self.spark)
+        rel = self._frame(ev.rels[pred])
         if meld:
             # ΔR: candidate groups whose best value strictly improves on
             # (or is absent from) R; R keeps the other groups' rows.

@@ -411,6 +411,42 @@ class TestRoundExecutors:
         assert (eng.metrics.local_rounds, eng.metrics.iterations["tc"]) == (5, 10)
         assert_equivalent(out["tc"], TC_SQL, arc=CHAIN)
 
+    def test_fan_out_moves_the_round_to_spark(self, spark, monkeypatch):
+        """A join or a set of candidates that would pass ``local_rows`` is
+        sized before it is built, and that step runs on Spark."""
+        star = pd.DataFrame({"x": range(40), "k": 0})
+        pairs = pd.DataFrame({"x": range(600), "y": range(1, 601)})
+        program = parse_program(
+            "q(x, y) :- a(x, k), a(y, k).\n"      # keyed join: 1600 rows
+            "p(x, y) :- a(x, _), a(y, _).\n"      # cross join: 1600 rows
+            "r(x, y) :- c(x, y).\nr(y, x) :- c(x, y)."  # 1200 candidates
+        )
+        built = []
+        merge = pd.DataFrame.merge
+
+        def sized(df, *args, **kwargs):
+            out = merge(df, *args, **kwargs)
+            built.append(len(out))
+            return out
+
+        monkeypatch.setattr(pd.DataFrame, "merge", sized)
+        eng = RecStepEngine(spark, RecStepOptions(local_rows=1000))
+        out = eng.evaluate(program, spark_edb(spark, {"a": star, "c": pairs}))
+        assert eng.metrics.local_rounds == 0
+        assert max(built, default=0) <= 1000
+        assert out["q"].count() == out["p"].count() == 1600
+        assert out["r"].count() == 1200
+
+    def test_join_is_sized_from_key_counts(self, spark):
+        # 40 × 40 rows, but each key matches once: a 40-row join.
+        a = pd.DataFrame({"x": range(40), "k": range(40)})
+        eng = RecStepEngine(spark, RecStepOptions(local_rows=1000))
+        out = eng.evaluate(
+            parse_program("q(x, y) :- a(x, k), a(y, k)."), spark_edb(spark, {"a": a})
+        )
+        assert eng.metrics.local_rounds == 1
+        assert out["q"].count() == 40
+
     def test_results_are_typed_spark_frames(self, spark, engine):
         arc = spark.createDataFrame([], "src bigint, dst bigint")
         out = engine.evaluate(programs.get_program("tc"), {"arc": arc})
@@ -432,16 +468,85 @@ class TestRoundExecutors:
                            for name in names), (mod.__name__, names)
 
 
+class TestExecutorSemantics:
+    """Where pandas and Spark answer differently — NULLs, 64-bit
+    overflow (an error under ANSI SQL), strings meeting numbers — every
+    executor gives Spark's answer."""
+
+    CASES = {
+        "min_over_empty_feeds_a_later_stratum": (
+            "m(MIN(x)) :- e(x).\nc(x) :- m(x).\nj(y) :- m(x), f(x, y).",
+            {"e": ([], "x bigint"), "f": ([(1, 2)], "x bigint, y bigint")},
+        ),
+        "null_in_edb": (
+            "q(x, y) :- e(x, y).\nt(x, z) :- e(x, y), e(y, z).\nn(x) :- f(x), !e(x, _).",
+            {
+                "e": ([(1, None), (None, 2), (1, 3), (3, 4)], "x bigint, y bigint"),
+                "f": ([(1,), (2,), (None,)], "x bigint"),
+            },
+        ),
+        "product_overflows": (
+            "q(x * 4611686018427387904) :- e(x).", {"e": ([(3,)], "x bigint")},
+        ),
+        "sum_overflows": (
+            "s(SUM(x)) :- e(x).",
+            {"e": ([(2**62,), (2**62 + 1,)], "x bigint")},
+        ),
+        "sum_near_the_limit": (
+            "s(SUM(x)) :- e(x).\nq(x + 1) :- e(x).",
+            {"e": ([(2**61,), (2**61 + 1,)], "x bigint")},
+        ),
+        "string_joins_number": (
+            "q(x) :- s(x), n(x).", {"s": ([("1",), ("a",)], "x string"), "n": ([(1,)], "x bigint")},
+        ),
+        "string_against_constant": (
+            "q(x) :- s(x), x != 1.\np(x) :- s(x), s(1).",
+            {"s": ([("1",), ("a",)], "x string")},
+        ),
+        "double_joins_long": (
+            "q(x) :- d(x), n(x).\nr(x + 1) :- d(x).",
+            {"d": ([(1.0,), (2.5,)], "x double"), "n": ([(1,), (2,)], "x bigint")},
+        ),
+    }
+
+    @staticmethod
+    def outcome(spark, opts, program, edb):
+        try:
+            out = RecStepEngine(spark, opts).evaluate(parse_program(program), {
+                name: spark.createDataFrame(rows, ddl) for name, (rows, ddl) in edb.items()
+            })
+            return {p: sorted(map(tuple, df.collect()), key=repr) for p, df in out.items()}
+        except Exception as exc:  # the executors must fail alike
+            return type(exc).__name__
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_outcome_on_every_executor(self, spark, case):
+        outcomes = {
+            name: self.outcome(spark, opts, *self.CASES[case])
+            for name, opts in EXECUTORS.items()
+        }
+        assert outcomes["local"] == outcomes["spark"] == outcomes["mixed"], outcomes
+
+    def test_min_over_empty_edb_is_one_null_row(self, spark):
+        got = self.outcome(
+            spark, RecStepOptions(), *self.CASES["min_over_empty_feeds_a_later_stratum"]
+        )
+        assert got == {"m": [(None,)], "c": [(None,)], "j": []}
+
+
 class TestReleasedStorage:
     """Each superseded checkpoint or Parquet commit is released once the
     frame that replaces it exists, so storage does not grow with the
     number of rounds."""
 
     LONG_CHAIN = pd.DataFrame({"src": range(40), "dst": range(1, 41)})
+    #: ``handoff``: R passes 100 rows in round 3, so round 4 hands R and
+    #: ΔR from the driver to Spark as Parquet files
+    CONFIGS = {**ABLATIONS, "handoff": RecStepOptions(local_rows=100)}
 
-    @pytest.mark.parametrize("name", ["all_on", "no_uie", "no_eost"])
+    @pytest.mark.parametrize("name", ["all_on", "no_uie", "no_eost", "handoff"])
     def test_held_storage_stays_bounded(self, spark, monkeypatch, name):
-        eng = RecStepEngine(spark, ABLATIONS[name])
+        eng = RecStepEngine(spark, self.CONFIGS[name])
         persisted = spark.sparkContext._jsc.getPersistentRDDs
         before = persisted().size()
         held = []
@@ -457,6 +562,7 @@ class TestReleasedStorage:
         arc = spark_edb(spark, {"arc": self.LONG_CHAIN})
         out = eng.evaluate(programs.get_program("tc"), arc)
         assert len(held) == eng.metrics.iterations["tc"] == 41
+        assert eng.metrics.local_rounds == (3 if name == "handoff" else 0)
         # The EDB's checkpoint, R and ΔR, whatever the number of rounds.
         assert max(held) <= 3, held
         # The EDB's checkpoint and R (EOST off: the checkpointed result).
