@@ -42,7 +42,8 @@ differently (NULLs, overflow, strings meeting numbers), raises
 then on, as once R outgrows the bound, the stratum stays on Spark.
 Each relation is held in the form that produced it and converted on
 demand, at most once per version: ``toPandas`` for a driver round, a
-Parquet write read back by Spark for a Spark one (:meth:`_frame`).
+Parquet write read back by Spark for a Spark one (:meth:`_frame`), and
+``createDataFrame`` for a result (:meth:`_result`).
 
 Spark specifics: every per-iteration state frame is materialized with a
 truncated lineage (``localCheckpoint``) so plans do not grow across
@@ -53,7 +54,8 @@ is coalesced to the session's default parallelism, so R's partition
 count stays bounded however many Δs were appended. A materialized frame
 is released (its checkpoint unpersisted, or its Parquet commit deleted)
 as soon as the frame that supersedes it exists, so storage stays
-bounded over long runs. Because the session disables automatic
+bounded over long runs; the EDB checkpoints and whatever else no result
+reads are released when the evaluation ends. Because the session disables automatic
 broadcast, all broadcasts are explicit OOF decisions.
 """
 from __future__ import annotations
@@ -179,20 +181,24 @@ class RecStepEngine:
             stats,
             analyzed.value_bounds(edb_bound),
         )
+        for pred in analyzed.edbs:
+            self._owned[id(rels[pred])] = (rels[pred], None)
         self._commit_dir = tempfile.mkdtemp(prefix="recstep_")
+        out: dict[str, DataFrame] = {}
         try:
             for stratum in analyzed.strata:
                 self._evaluate_stratum(ev, stratum)
             self.metrics.analyze_calls = stats.analyze_calls
-            out = {}
             for p in analyzed.idbs:
-                df = self._frame(ev.rels[p])
-                # The directory is deleted below: pin a result that reads
-                # its files in memory before handing it back.
-                files = self._owned.get(id(df), (df, None))[1]
-                out[p] = df.localCheckpoint(eager=True) if files else df
+                out[p] = self._result(ev.rels[p])
             return out
         finally:
+            # Release what no result reads now rather than when the JVM
+            # collects it: the EDB checkpoints and any frame still held.
+            results = {id(df) for df in out.values()}
+            for key, (frame, _) in list(self._owned.items()):
+                if key not in results:
+                    self._release(frame)
             self._owned.clear()
             if self._commit_dir is not None:
                 shutil.rmtree(self._commit_dir, ignore_errors=True)
@@ -231,6 +237,16 @@ class RecStepEngine:
                 rel.frame = self.spark.read.schema(schema(rel.types)).parquet(path)
                 self._owned[id(rel.frame)] = (rel.frame, path)
         return rel.frame
+
+    def _result(self, rel: Relation) -> DataFrame:
+        """``rel`` as a result frame. A driver-held version goes back
+        through ``createDataFrame`` and holds no storage; a frame that
+        reads this evaluation's files is pinned in memory first, since
+        the files are deleted when the evaluation ends."""
+        if rel.frame is None:
+            return self.spark.createDataFrame(rel.table, schema(rel.types))
+        files = self._owned.get(id(rel.frame), (None, None))[1]
+        return rel.frame.localCheckpoint(eager=True) if files else rel.frame
 
     def _release(self, frame: DataFrame | None) -> None:
         """Free the storage behind a frame ``_materialize`` made, once no

@@ -54,18 +54,19 @@ class RecStepOptions:
         memory (paper: "only if the memory available can fit the bit
         matrix and its indexes").
     local_rows:
-        A semi-naive round runs on the driver over pandas
-        (:mod:`repro.core.local`) when every relation it reads, and the
-        previous driver round's pre-dedup candidates, are within this
-        many rows; other rounds run on Spark. 0 runs every round on
-        Spark, which is what the Section 5 optimizations above act on.
-        The default is capped by driver memory, not time (pandas rounds
-        beat Spark rounds at every size tried, up to 4M-tuple tc): on a
-        4-core host the driver's peak Python RSS on tc inputs whose
-        rounds reach the bound was 342-350 MB at 1M rows (167 MB of it
-        the interpreter with pyspark and pandas), 509 MB at 2M and
-        1021 MB at 4M; 1M stays within the 384 MB a cluster driver
-        container grants beyond the JVM heap by default.
+        A semi-naive round starts on the driver over pandas
+        (:mod:`repro.core.local`) when every relation it reads is within
+        this many rows, and a driver step moves to Spark before building
+        a join or a set of candidates larger than this; other rounds run
+        on Spark. 0 runs every round on Spark, which is what the
+        Section 5 optimizations above act on. The bound caps the driver's
+        memory, not its time: on a 4-core host the driver never lost to
+        Spark at the default (warm, default against 0: Table 4's CSDA
+        0.94 s against 12.5 s, Andersen 15.3 against 16.8 s, CSPA 10.0
+        against 10.2 s, tc over ``gnp_arcs(1200, 0.005)`` 4.7 against
+        5.7 s), and the driver's Python peak RSS stayed within 242 MB
+        (118 MB of it the interpreter with pyspark and pandas), inside
+        the 384 MB minimum of ``spark.driver.memoryOverhead``.
     """
 
     uie: bool = True
