@@ -60,13 +60,16 @@ class RecStepOptions:
         a join or a set of candidates larger than this; other rounds run
         on Spark. 0 runs every round on Spark, which is what the
         Section 5 optimizations above act on. The bound caps the driver's
-        memory, not its time: on a 4-core host the driver never lost to
-        Spark at the default (warm, default against 0: Table 4's CSDA
+        memory, not its time: on a 4-core host the driver won on every
+        program tried and came within 10% of Spark at the bound (warm,
+        default against 0: Table 4's CSDA
         0.94 s against 12.5 s, Andersen 15.3 against 16.8 s, CSPA 10.0
         against 10.2 s, tc over ``gnp_arcs(1200, 0.005)`` 4.7 against
-        5.7 s), and the driver's Python peak RSS stayed within 242 MB
-        (118 MB of it the interpreter with pyspark and pandas), inside
-        the 384 MB minimum of ``spark.driver.memoryOverhead``.
+        5.7 s; a 1M-row join at the bound 2.9 against 2.7 s), and the
+        driver's Python peak RSS stayed within 269 MB (a 4-column join
+        at the bound; 118 MB of it the interpreter with pyspark and
+        pandas), inside the 384 MB minimum of
+        ``spark.driver.memoryOverhead``.
     """
 
     uie: bool = True
