@@ -15,11 +15,15 @@ As in the paper (footnote 2), inputs are assumed to come from an
 integer-mapped active domain; :func:`compact_key_bits` decides whether a
 relation's domain fits 64 bits, given the maximum absolute value
 observed on the EDBs (collected once at load, not per iteration).
+:func:`pack_keys` and :func:`unpack_keys` lay out the same key over
+numpy columns, for rounds that run on the driver.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import reduce
 
+import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -56,6 +60,21 @@ def with_compact_key(df: DataFrame, bits: int) -> DataFrame:
         F.lit(0).cast("long"),
     )
     return df.withColumn(_COMPACT_KEY, key)
+
+
+def pack_keys(columns: Sequence[np.ndarray], bits: int) -> np.ndarray:
+    """The compact key of each row of non-empty integer ``columns``, laid
+    out as :func:`with_compact_key` lays it out."""
+    key = columns[0].astype(np.int64)
+    for i, col in enumerate(columns[1:], 1):
+        key |= col.astype(np.int64, copy=False) << (i * bits)
+    return key
+
+
+def unpack_keys(keys: np.ndarray, bits: int, n_columns: int) -> list[np.ndarray]:
+    """The columns :func:`pack_keys` packed into ``keys``."""
+    mask = (1 << bits) - 1
+    return [(keys >> (i * bits)) & mask for i in range(n_columns)]
 
 
 def dedup(

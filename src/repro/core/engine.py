@@ -35,15 +35,22 @@ stratum's own R, which bounds each Δ) is within
 pandas (:mod:`repro.core.local`), interpreting the same rule plans with
 the same dedup, set-difference, meld and aggregation semantics;
 otherwise on Spark. The row counts are the ones OOF already records, so
-the choice runs no Spark job. A driver step whose join or candidates
-would exceed ``local_rows`` rows, or whose data pandas would answer
+the choice runs no Spark job. A driver step bounds what the driver
+holds, not the round's candidates: a join that would pass
+``local_rows`` runs in slices of Δ (or, in a first round, of the first
+scan) whose joins each fit, and each slice is merged into ΔR before the
+next is built. With FAST-DEDUP a set IDB's R is a sorted array of packed
+keys that each round probes and extends, so a round costs O(|Δ|) plus
+one merge of ΔR into R. A step in which one row's fan-out or R ∪ ΔR
+would pass ``local_rows``, or whose data pandas would answer
 differently (NULLs, overflow, strings meeting numbers), raises
 ``local.Fallback`` before it changes anything and runs on Spark; from
 then on, as once R outgrows the bound, the stratum stays on Spark.
 Each relation is held in the form that produced it and converted on
-demand, at most once per version: ``toPandas`` for a driver round, a
-Parquet write read back by Spark for a Spark one (:meth:`_frame`), and
-``createDataFrame`` for a result (:meth:`_result`).
+demand, at most once per version: ``toPandas`` (or a decode of its
+keys) for a driver round, a Parquet write read back by Spark for a
+Spark one (:meth:`_frame`), and ``createDataFrame`` for a result
+(:meth:`_result`).
 
 Spark specifics: every per-iteration state frame is materialized with a
 truncated lineage (``localCheckpoint``) so plans do not grow across
@@ -65,7 +72,6 @@ import tempfile
 import uuid
 from dataclasses import dataclass, field
 
-import pandas as pd
 from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
@@ -227,12 +233,12 @@ class RecStepEngine:
         Parquet once and read back, so each Spark scan of it reads files
         rather than re-shipping its rows from the driver."""
         if rel.frame is None:
-            if rel.table.empty:
+            if not rel.rows():
                 rel.frame = empty_relation(self.spark, rel.types)
             else:
                 path = f"{self._commit_dir}/handoff_{uuid.uuid4().hex}"
                 local.write_parquet(
-                    rel.table, rel.types, path, self.spark.sparkContext.defaultParallelism
+                    rel.pandas(), rel.types, path, self.spark.sparkContext.defaultParallelism
                 )
                 rel.frame = self.spark.read.schema(schema(rel.types)).parquet(path)
                 self._owned[id(rel.frame)] = (rel.frame, path)
@@ -244,7 +250,7 @@ class RecStepEngine:
         reads this evaluation's files is pinned in memory first, since
         the files are deleted when the evaluation ends."""
         if rel.frame is None:
-            return self.spark.createDataFrame(rel.table, schema(rel.types))
+            return self.spark.createDataFrame(rel.pandas(), schema(rel.types))
         files = self._owned.get(id(rel.frame), (None, None))[1]
         return rel.frame.localCheckpoint(eager=True) if files else rel.frame
 
@@ -321,7 +327,7 @@ class RecStepEngine:
                 d = None if first else deltas
                 if on_driver:
                     try:
-                        delta, rows = self._local_step(ev, pred, d, reads, first=first)
+                        delta, rows = self._local_step(ev, pred, d)
                     except local.Fallback:
                         on_driver = False
                 if not on_driver:
@@ -345,52 +351,43 @@ class RecStepEngine:
         return 0 < limit and all(ev.stats.rows(p) <= limit for p in reads)
 
     def _local_step(
-        self,
-        ev: _Evaluation,
-        pred: str,
-        deltas: dict[str, Relation] | None,
-        reads: set[str],
-        *,
-        first: bool,
+        self, ev: _Evaluation, pred: str, deltas: dict[str, Relation] | None
     ) -> tuple[Relation, int]:
         """One IDB's round on the driver; returns ΔR and |ΔR|. Raises
-        ``local.Fallback``, having changed nothing, when a join or the
-        round's candidates would exceed ``local_rows`` or the data needs
-        Spark's semantics."""
-        stats, types, limit = ev.stats, ev.types[pred], self.options.local_rows
+        ``local.Fallback``, having changed nothing, when a join row's
+        fan-out, R ∪ ΔR or an aggregate's candidates would exceed
+        ``local_rows`` or the data needs Spark's semantics."""
+        types, limit = ev.types[pred], self.options.local_rows
         meld = pred in ev.analyzed.meld_idbs
-        rels = {p: ev.rels[p].pandas() for p in reads}
-        parts, cands = [], 0
-        for rule, i in self._sites(ev, pred, deltas):
-            parts.append(local.derive(
+        pieces = (
+            piece
+            for rule, i in self._sites(ev, pred, deltas)
+            for piece in local.derive(
                 rule,
-                rels,
+                ev.rels,
                 types=types,
                 max_rows=limit,
                 delta_idx=i,
                 delta=None if i is None else deltas[rule.positive_body[i].pred].pandas(),
-            ))
-            cands += len(parts[-1])
-            if cands > limit:
-                raise local.Fallback(f"{cands} candidates")
-        raw = pd.concat(parts, ignore_index=True) if parts else local.empty(types)
+            )
+        )
         rel, delta, new_rows = local.step(
-            raw,
-            rels[pred],
+            ev.rels[pred],
+            pieces,
             spec=ev.analyzed.agg_specs.get(pred),
             meld=meld,
-            first=first,
-            types=types,
+            max_value=ev.bounds[pred] if self.options.fast_dedup else None,
+            max_rows=limit,
         )
-        rows = len(delta)
+        rows = delta.rows()
         if not meld:
             # μ = |Rδ| / |r| where r = Rδ ∩ R = Rδ - ΔR, as on Spark.
             overlap = new_rows - rows
             ev.mu[pred] = new_rows / overlap if overlap > 0 else None
-        ev.rels[pred] = Relation(types, table=rel)
-        stats.record(pred, len(rel))
-        stats.record(f"Δ{pred}", rows)
-        return (ev.rels[pred] if first else Relation(types, table=delta)), rows
+        ev.rels[pred] = rel
+        ev.stats.record(pred, rel.rows())
+        ev.stats.record(f"Δ{pred}", rows)
+        return delta, rows
 
     def _spark_step(
         self,

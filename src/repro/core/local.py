@@ -14,24 +14,33 @@ This module interprets the compiler's executor-neutral
 
 - :func:`derive` — one subquery: the plan's scans, joins, filters and
   anti joins, projected onto the head's positional columns ``c0..``
-  and cast to the IDB's column types;
+  and cast to the IDB's column types. A join that would pass the size
+  bound is cut into slices of its left side whose joins each fit;
 - :func:`step` — one IDB's merge: dedup, non-recursive aggregation,
-  then set difference and R ∪ ΔR for a set IDB, or the MIN/MAX meld.
+  then set difference and R ∪ ΔR for a set IDB, or the MIN/MAX meld. A
+  set IDB merges each slice into ΔR before the next is built, so the
+  bound caps what the driver holds (R ∪ ΔR and one slice), not the
+  round's candidates. With FAST-DEDUP it works on packed keys
+  (:func:`repro.core.dedup.pack_keys`): dedup by hashing one int64 per
+  tuple, set difference by probing R's sorted key array.
 
 Spark's semantics are the reference. Where pandas would answer
 differently — NULLs, integer overflow (an error under ANSI SQL), a
 string meeting a number in a join, comparison, arithmetic or cast — or
-where a join or a round's candidates would exceed the size bound, the
-work raises :class:`Fallback` before anything is changed, and the
-engine runs that step on Spark instead.
+where one row's join fan-out, R ∪ ΔR or an aggregate's candidates would
+exceed the size bound, the work raises :class:`Fallback` before
+anything is changed, and the engine runs that step on Spark instead.
 
 :class:`Relation` holds one version of a relation in whichever form
-produced it; :meth:`Relation.pandas` converts it for a driver round
-(``toPandas``), at most once.
+produced it — a Spark frame, a pandas table, or a sorted key array —
+and converts it on demand, at most once: :meth:`Relation.pandas`
+collects a frame (``toPandas``) or decodes keys, :meth:`Relation.index`
+packs a table's keys.
 """
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable, Iterator, Mapping
 
 import numpy as np
 import pandas as pd
@@ -40,6 +49,7 @@ import pyarrow.parquet as pq
 from pyspark.sql import DataFrame
 
 from repro.core.compiler import ARITHMETIC, COMPARISONS, Scan, evaluate_expr, plan_rule
+from repro.core.dedup import compact_key_bits, pack_keys, unpack_keys
 from repro.datalog.analyzer import AggSpec
 from repro.datalog.ast import Rule
 
@@ -61,10 +71,11 @@ class Fallback(Exception):
 
 
 class Relation:
-    """One version of a relation: a Spark frame, a pandas frame, or both
-    once converted."""
+    """One version of a relation: a Spark frame, a pandas table, or the
+    sorted array of its packed keys (FAST-DEDUP's compact key, one per
+    tuple), plus whichever other forms it has been converted to."""
 
-    __slots__ = ("types", "frame", "table")
+    __slots__ = ("types", "frame", "table", "keys", "bits")
 
     def __init__(
         self,
@@ -72,19 +83,43 @@ class Relation:
         *,
         frame: DataFrame | None = None,
         table: pd.DataFrame | None = None,
+        keys: np.ndarray | None = None,
+        bits: int | None = None,
     ):
-        assert (frame is None) != (table is None), "one producing form"
+        assert sum(f is not None for f in (frame, table, keys)) == 1, "one producing form"
         self.types = types
         self.frame = frame
         self.table = table
+        self.keys = keys
+        self.bits = bits
+
+    def rows(self) -> int:
+        """The row count of a driver-held version."""
+        return len(self.keys) if self.keys is not None else len(self.pandas())
 
     def pandas(self) -> pd.DataFrame:
+        """The version as a table, converted at most once: decoded from
+        its keys, or collected from Spark."""
         if self.table is None:
-            table = self.frame.toPandas()
-            if table.isna().to_numpy().any():
-                raise Fallback("NULL values")
-            self.table = table
+            if self.keys is not None:
+                self.table = pd.DataFrame({
+                    f"c{i}": col
+                    for i, col in enumerate(unpack_keys(self.keys, self.bits, len(self.types)))
+                })
+            else:
+                table = self.frame.toPandas()
+                if table.isna().to_numpy().any():
+                    raise Fallback("NULL values")
+                self.table = table
         return self.table
+
+    def index(self, bits: int) -> np.ndarray:
+        """The version's packed keys, sorted, built at most once."""
+        if self.keys is None:
+            table = self.pandas()
+            self.keys = np.sort(pack_keys([table[c].to_numpy() for c in table.columns], bits))
+            self.bits = bits
+        return self.keys
 
 
 def empty(types: tuple[str, ...]) -> pd.DataFrame:
@@ -109,32 +144,39 @@ def write_parquet(table: pd.DataFrame, types: tuple[str, ...], path: str, parts:
 # -- one subquery --------------------------------------------------------
 def derive(
     rule: Rule,
-    rels: dict[str, pd.DataFrame],
+    rels: Mapping[str, Relation],
     *,
     types: tuple[str, ...],
     max_rows: int,
     delta_idx: int | None = None,
     delta: pd.DataFrame | None = None,
-) -> pd.DataFrame:
-    """The head tuples one subquery derives. Positive atom #``delta_idx``
-    (counting positives only) reads ``delta``, the semi-naive Δ-rewrite.
-    A join whose result would exceed ``max_rows`` raises
-    :class:`Fallback` before it is built."""
+) -> Iterator[pd.DataFrame]:
+    """The head tuples one subquery derives, in pieces of at most
+    ``max_rows`` rows, each built once the previous one has been
+    consumed. Positive atom #``delta_idx`` (counting positives only)
+    reads ``delta``, the semi-naive Δ-rewrite; the others read their
+    relation in ``rels`` whole. A join row whose own fan-out exceeds
+    ``max_rows`` raises :class:`Fallback` before its join is built."""
     plan = plan_rule(rule)
     if not plan.positives:
-        return _cast(pd.DataFrame({f"c{i}": [e.value] for i, e in enumerate(plan.head)}), types)
-    acc: pd.DataFrame | None = None
-    for i, (scan, keys) in enumerate(zip(plan.positives, plan.keys)):
-        part = _scan(scan, delta if i == delta_idx else rels[scan.pred])
-        acc = part if acc is None else _join(acc, part, list(keys), max_rows)
-    for cond in plan.conditions:
-        acc = acc[_compare(cond, acc)]
-    for scan, on in plan.negations:
-        acc = _anti(acc, _scan(scan, rels[scan.pred]), list(on))
-    return _cast(pd.DataFrame(
-        {f"c{i}": _value(e, acc) for i, e in enumerate(plan.head)},
-        index=pd.RangeIndex(len(acc)),
-    ), types)
+        yield _cast(pd.DataFrame({f"c{i}": [e.value] for i, e in enumerate(plan.head)}), types)
+        return
+    parts = [
+        _scan(scan, delta if i == delta_idx else rels[scan.pred].pandas())
+        for i, scan in enumerate(plan.positives)
+    ]
+    negations = [
+        (_scan(scan, rels[scan.pred].pandas()), list(on)) for scan, on in plan.negations
+    ]
+    for acc in _joined(parts[0], parts[1:], plan.keys[1:], max_rows):
+        for cond in plan.conditions:
+            acc = acc[_compare(cond, acc)]
+        for neg, on in negations:
+            acc = _anti(acc, neg, on)
+        yield _cast(pd.DataFrame(
+            {f"c{i}": _value(e, acc) for i, e in enumerate(plan.head)},
+            index=pd.RangeIndex(len(acc)),
+        ), types)
 
 
 def _scan(scan: Scan, table: pd.DataFrame) -> pd.DataFrame:
@@ -152,18 +194,49 @@ def _scan(scan: Scan, table: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame(index=pd.RangeIndex(min(int(mask.sum()), 1)))
 
 
-def _join(acc: pd.DataFrame, part: pd.DataFrame, keys: list[str], max_rows: int) -> pd.DataFrame:
-    acc, part = _comparable(acc, part, keys)
-    if len(acc) * len(part) > max_rows:
-        size = len(acc) * len(part)
-        if keys:
-            # Σ over each key of its matches on both sides, from key counts.
-            size = acc.groupby(keys, sort=False).size().mul(
-                part.groupby(keys, sort=False).size()
-            ).sum()
-        if size > max_rows:
-            raise Fallback(f"a join of {int(size)} rows")
-    return acc.merge(part, on=keys, how="inner") if keys else acc.merge(part, how="cross")
+def _joined(
+    acc: pd.DataFrame,
+    parts: list[pd.DataFrame],
+    keys: tuple[tuple[str, ...], ...],
+    max_rows: int,
+) -> Iterator[pd.DataFrame]:
+    """``acc`` joined with each of ``parts`` in turn, on its ``keys``
+    entry, in pieces of at most ``max_rows`` rows."""
+    if not parts:
+        yield acc
+        return
+    on = list(keys[0])
+    acc, part = _comparable(acc, parts[0], on)
+    for run in _runs(acc, part, on, max_rows):
+        joined = run.merge(part, on=on, how="inner") if on else run.merge(part, how="cross")
+        yield from _joined(joined, parts[1:], keys[1:], max_rows)
+
+
+def _runs(
+    acc: pd.DataFrame, part: pd.DataFrame, on: list[str], max_rows: int
+) -> Iterator[pd.DataFrame]:
+    """``acc`` cut into runs of consecutive rows whose joins with
+    ``part`` each stay within ``max_rows`` rows. Each row's fan-out is
+    its key's count in ``part``; a cumulative sum over the fan-outs
+    places the cuts. A row whose fan-out alone passes the bound raises
+    :class:`Fallback`."""
+    if len(acc) * len(part) <= max_rows:
+        yield acc
+        return
+    if on:
+        counts = part.groupby(on, sort=False).size().rename("__n").reset_index()
+        fan = acc[on].merge(counts, on=on, how="left")["__n"].fillna(0).to_numpy(np.int64)
+    else:
+        fan = np.full(len(acc), len(part))
+    if fan.max() > max_rows:
+        raise Fallback(f"one row joins {int(fan.max())} rows")
+    ends = np.cumsum(fan)
+    start = 0
+    while start < len(acc):
+        done = ends[start - 1] if start else 0
+        end = int(np.searchsorted(ends, done + max_rows, side="right"))
+        yield acc.iloc[start:end]
+        start = end
 
 
 def _value(expr, acc: pd.DataFrame):
@@ -228,39 +301,140 @@ def _anti(left: pd.DataFrame, right: pd.DataFrame, on: list[str]) -> pd.DataFram
 
 # -- one IDB's merge -----------------------------------------------------
 def step(
-    raw: pd.DataFrame,
-    rel: pd.DataFrame,
+    rel: Relation,
+    pieces: Iterable[pd.DataFrame],
     *,
     spec: AggSpec | None,
     meld: bool,
-    first: bool,
-    types: tuple[str, ...],
-) -> tuple[pd.DataFrame, pd.DataFrame, int]:
-    """Merge one round's candidates ``raw`` into R = ``rel``; returns
-    the new R, ΔR and |Rδ|. ``first``: R is empty, so R = ΔR = Rδ."""
-    cands = raw if meld else raw.drop_duplicates(ignore_index=True)
+    max_value: int | None,
+    max_rows: int,
+) -> tuple[Relation, Relation, int]:
+    """Merge one round's candidates, arriving in ``pieces``, into
+    R = ``rel``; returns the new R, ΔR and |Rδ|. When R is empty the new
+    R and ΔR are one version (R = ΔR = Rδ).
+
+    A set IDB merges each piece into ΔR before the next is built; it
+    raises :class:`Fallback` once |R| + |ΔR| would pass ``max_rows``.
+    FAST-DEDUP applies when ``max_value`` (the IDB's value bound, or
+    None) lets every column, all integers, pack into one key. Aggregate
+    and meld IDBs group all candidates at once, within ``max_rows``."""
     if spec is not None:
-        cands = _aggregate(cands, spec, types)
-    if first:
-        return cands, cands, len(cands)
-    if meld:
-        # ΔR: candidate groups whose best value strictly improves on (or
-        # is absent from) R; R keeps the other groups' rows.
-        val = f"c{spec.agg_position}"
-        group = [f"c{i}" for i in spec.group_positions]
-        old = rel.rename(columns={val: "__old"})
-        joined = cands.merge(old, on=group, how="left") if group else (
-            cands.merge(old, how="cross") if len(old) else cands.assign(__old=np.nan)
-        )
-        new, prev = joined[val], joined["__old"]
-        better = COMPARISONS["<" if spec.op == "MIN" else ">"](new, prev)
-        delta = joined.loc[prev.isna() | better, list(cands.columns)]
-        merged = pd.concat([_anti(rel, delta, group), delta], ignore_index=True)
-        return merged, delta.reset_index(drop=True), len(cands)
-    delta = _anti(cands, rel, list(cands.columns)).reset_index(drop=True)
-    if len(delta):
-        rel = pd.concat([rel, delta], ignore_index=True)
-    return rel, delta, len(cands)
+        return _grouped(rel, pieces, spec=spec, meld=meld, max_rows=max_rows)
+    types = rel.types
+    if max_value is not None and set(types) == {"long"}:
+        bits = compact_key_bits(len(types), max_value)
+        if bits is not None:
+            return _packed_union(rel, pieces, bits, max_rows)
+    return _union(rel, pieces, max_rows)
+
+
+def _packed_union(
+    rel: Relation, pieces: Iterable[pd.DataFrame], bits: int, max_rows: int
+) -> tuple[Relation, Relation, int]:
+    """FAST-DEDUP on the driver: each piece becomes one packed key per
+    row, deduplicated by hashing that key, then probed against R's
+    sorted keys and ΔR's. R's keys are not copied until R ∪ ΔR merges
+    ΔR's sorted keys into them."""
+    old = rel.index(bits)
+    hit = np.zeros(len(old), dtype=bool)  # R's keys derived again: r = Rδ ∩ R
+    new = np.empty(0, dtype=np.int64)  # ΔR's keys so far, sorted
+    for piece in pieces:
+        keys = pd.unique(pack_keys([piece[c].to_numpy() for c in piece.columns], bits))
+        pos, found = _probe(old, keys)
+        hit[pos[found]] = True
+        keys = keys[~found]
+        keys = np.sort(keys[~_probe(new, keys)[1]])
+        if len(old) + len(new) + len(keys) > max_rows:
+            raise Fallback(f"R ∪ ΔR of {len(old) + len(new) + len(keys)} rows")
+        new = _insert(new, keys)
+    delta = Relation(rel.types, keys=new, bits=bits)
+    r_delta = int(hit.sum()) + len(new)
+    if not len(old):
+        return delta, delta, r_delta
+    if not len(new):
+        return rel, delta, r_delta
+    return Relation(rel.types, keys=_insert(old, new), bits=bits), delta, r_delta
+
+
+def _probe(index: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``keys`` falls in the sorted ``index``, and whether
+    it is there."""
+    pos = np.searchsorted(index, keys)
+    found = pos < len(index)
+    found[found] = index[pos[found]] == keys[found]
+    return pos, found
+
+
+def _insert(index: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The sorted ``index`` with the sorted ``keys`` (none already in
+    it) merged in."""
+    return np.insert(index, np.searchsorted(index, keys), keys)
+
+
+def _union(
+    rel: Relation, pieces: Iterable[pd.DataFrame], max_rows: int
+) -> tuple[Relation, Relation, int]:
+    """The generic set merge: each piece deduplicated over all columns
+    and anti-joined with R and with ΔR so far."""
+    old = rel.pandas()
+    cols = list(old.columns)
+    numbered = old.assign(__row=np.arange(len(old)))
+    hit = np.zeros(len(old), dtype=bool)  # R's rows derived again: r = Rδ ∩ R
+    new = empty(rel.types)
+    for piece in pieces:
+        piece = piece.drop_duplicates()
+        row = piece.merge(numbered, on=cols, how="left")["__row"].to_numpy()
+        found = ~np.isnan(row)
+        hit[row[found].astype(np.int64)] = True
+        piece = _anti(piece[~found], new, cols)
+        if len(old) + len(new) + len(piece) > max_rows:
+            raise Fallback(f"R ∪ ΔR of {len(old) + len(new) + len(piece)} rows")
+        new = pd.concat([new, piece], ignore_index=True)
+    delta = Relation(rel.types, table=new)
+    r_delta = int(hit.sum()) + len(new)
+    if not len(old):
+        return delta, delta, r_delta
+    if not len(new):
+        return rel, delta, r_delta
+    return Relation(rel.types, table=pd.concat([old, new], ignore_index=True)), delta, r_delta
+
+
+def _grouped(
+    rel: Relation,
+    pieces: Iterable[pd.DataFrame],
+    *,
+    spec: AggSpec,
+    meld: bool,
+    max_rows: int,
+) -> tuple[Relation, Relation, int]:
+    """An aggregate IDB's merge: the candidates, within ``max_rows``,
+    grouped after dedup, or melded into R (MIN/MAX in a recursive
+    stratum)."""
+    types, parts, total = rel.types, [], 0
+    for piece in pieces:
+        parts.append(piece)
+        total += len(piece)
+        if total > max_rows:
+            raise Fallback(f"{total} candidates")
+    raw = pd.concat(parts, ignore_index=True) if parts else empty(types)
+    cands = _aggregate(raw if meld else raw.drop_duplicates(ignore_index=True), spec, types)
+    old = rel.pandas()
+    if not len(old):
+        out = Relation(types, table=cands)
+        return out, out, len(cands)
+    # Meld: ΔR is the candidate groups whose best value strictly improves
+    # on (or is absent from) R; R keeps the other groups' rows.
+    val = f"c{spec.agg_position}"
+    group = [f"c{i}" for i in spec.group_positions]
+    renamed = old.rename(columns={val: "__old"})
+    joined = cands.merge(renamed, on=group, how="left") if group else (
+        cands.merge(renamed, how="cross")
+    )
+    new, prev = joined[val], joined["__old"]
+    better = COMPARISONS["<" if spec.op == "MIN" else ">"](new, prev)
+    delta = joined.loc[prev.isna() | better, list(cands.columns)].reset_index(drop=True)
+    merged = pd.concat([_anti(old, delta, group), delta], ignore_index=True)
+    return Relation(types, table=merged), Relation(types, table=delta), len(cands)
 
 
 def _aggregate(pre: pd.DataFrame, spec: AggSpec, types: tuple[str, ...]) -> pd.DataFrame:

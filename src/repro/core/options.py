@@ -56,11 +56,13 @@ class RecStepOptions:
     local_rows:
         A semi-naive round starts on the driver over pandas
         (:mod:`repro.core.local`) when every relation it reads is within
-        this many rows, and a driver step moves to Spark before building
-        a join or a set of candidates larger than this; other rounds run
-        on Spark. 0 runs every round on Spark, which is what the
-        Section 5 optimizations above act on. The bound caps the driver's
-        memory, not its time: on a 4-core host the driver won on every
+        this many rows; other rounds run on Spark. On the driver the
+        bound caps each join slice and R ∪ ΔR: a join larger than this
+        is built in slices of Δ that each fit, and the step moves to
+        Spark before one row's join or R ∪ ΔR (an aggregate's
+        candidates) would pass it. 0 runs every round on Spark, which is
+        what the Section 5 optimizations above act on. The bound caps
+        the driver's memory, not its time: on a 4-core host the driver won on every
         program tried and came within 10% of Spark at the bound (warm,
         default against 0: Table 4's CSDA
         0.94 s against 12.5 s, Andersen 15.3 against 16.8 s, CSPA 10.0

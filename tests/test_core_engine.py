@@ -45,7 +45,7 @@ EXECUTORS = {
     "spark": RecStepOptions(local_rows=0),
     "local": RecStepOptions(),
     # CHAIN's closure (45 tuples) passes 30 rows in round 5 of 10, so
-    # rounds 6-10 run on Spark.
+    # round 5 falls back and rounds 5-10 run on Spark.
     "mixed": RecStepOptions(local_rows=30),
 }
 
@@ -408,12 +408,13 @@ class TestRoundExecutors:
     def test_mixed_moves_to_spark_mid_stratum(self, spark):
         eng = RecStepEngine(spark, EXECUTORS["mixed"])
         out = eng.evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": CHAIN}))
-        assert (eng.metrics.local_rounds, eng.metrics.iterations["tc"]) == (5, 10)
+        assert (eng.metrics.local_rounds, eng.metrics.iterations["tc"]) == (4, 10)
         assert_equivalent(out["tc"], TC_SQL, arc=CHAIN)
 
     def test_fan_out_moves_the_round_to_spark(self, spark, monkeypatch):
-        """A join or a set of candidates that would pass ``local_rows`` is
-        sized before it is built, and that step runs on Spark."""
+        """A join that would pass ``local_rows`` is built in slices that
+        each fit; results that pass it (R ∪ ΔR, 1600 and 1200 rows here)
+        move the step to Spark before they are held."""
         star = pd.DataFrame({"x": range(40), "k": 0})
         pairs = pd.DataFrame({"x": range(600), "y": range(1, 601)})
         program = parse_program(
@@ -436,6 +437,129 @@ class TestRoundExecutors:
         assert max(built, default=0) <= 1000
         assert out["q"].count() == out["p"].count() == 1600
         assert out["r"].count() == 1200
+
+    #: Two sources joined to 20 middles that all reach the same 20 sinks,
+    #: and a shortcut (0, 22): round 2's Δ-join builds 800 candidates, 40
+    #: of them distinct, one of those already in R (441 rows before the
+    #: round, 480 after).
+    FAN_IN = pd.DataFrame(
+        [(x, z) for x in range(2) for z in range(2, 22)]
+        + [(z, y) for z in range(2, 22) for y in range(22, 42)]
+        + [(0, 22)],
+        columns=["src", "dst"],
+    )
+
+    @staticmethod
+    def merges(monkeypatch) -> list[int]:
+        """The row count of every ``DataFrame.merge`` built from now on."""
+        built = []
+        merge = pd.DataFrame.merge
+
+        def sized(df, *args, **kwargs):
+            out = merge(df, *args, **kwargs)
+            built.append(len(out))
+            return out
+
+        monkeypatch.setattr(pd.DataFrame, "merge", sized)
+        return built
+
+    def test_sliced_join_stays_on_the_driver(self, spark, monkeypatch):
+        """A Δ-join past ``local_rows`` whose R ∪ ΔR fits is built in
+        slices, each within the bound, and the round stays on the driver."""
+        built = self.merges(monkeypatch)
+        eng = RecStepEngine(spark, RecStepOptions(local_rows=500))
+        out = eng.evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": self.FAN_IN}))
+        largest = max(built)
+        monkeypatch.undo()
+        assert eng.metrics.local_rounds == eng.metrics.iterations["tc"] == 3
+        assert largest <= 500
+        assert_equivalent(out["tc"], TC_SQL, arc=self.FAN_IN)
+
+    def test_results_past_the_bound_fall_back_mid_round(self, spark, monkeypatch):
+        """R ∪ ΔR passes ``local_rows`` at round 2's second slice, after
+        the first was merged into ΔR: the step falls back with R, its
+        count and μ unchanged, and Spark finishes the round."""
+        # FAN_IN without the shortcut, plus 0 -> 50 -> 30 leaves: the
+        # first slice adds 40 tuples to R (471 -> 511), the second 30.
+        arc = pd.concat([
+            self.FAN_IN.iloc[:-1],
+            pd.DataFrame({"src": [0] + [50] * 30, "dst": [50, *range(60, 90)]}),
+        ], ignore_index=True)
+        fell = []
+        local_step = RecStepEngine._local_step
+
+        def observed(self, ev, pred, deltas):
+            before = (ev.rels[pred], ev.stats.rows(pred), ev.mu.get(pred))
+            try:
+                return local_step(self, ev, pred, deltas)
+            except local.Fallback as exc:
+                fell.append(str(exc))
+                assert (ev.rels[pred], ev.stats.rows(pred), ev.mu.get(pred)) == before
+                raise
+
+        monkeypatch.setattr(RecStepEngine, "_local_step", observed)
+        eng = RecStepEngine(spark, RecStepOptions(local_rows=520))
+        out = eng.evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": arc}))
+        assert fell == ["R ∪ ΔR of 541 rows"]
+        assert (eng.metrics.local_rounds, eng.metrics.iterations["tc"]) == (1, 3)
+        assert_equivalent(out["tc"], TC_SQL, arc=arc)
+
+    M = 2**21 - 1  # three columns of 21 bits fill the 63-bit key
+    PACKING = {
+        "split_duplicate": (True, "tc", {"arc": FAN_IN}),
+        "bit_edge": (
+            True,
+            "p(x, y, z) :- t(x, y, z).\np(x, y, w) :- p(x, y, z), e(z, w).",
+            {
+                "t": pd.DataFrame({"a": [0, M, 1], "b": [M, 0, 2], "c": [0, M, 3]}),
+                "e": pd.DataFrame({"s": [0, M, 3, M], "d": [M, 0, M, 1]}),
+            },
+        ),
+        "negative_ids": (
+            False, "tc", {"arc": pd.DataFrame({"src": [-1, 0, -2], "dst": [0, -2, 5]})},
+        ),
+        "string_ids": (
+            False, "tc", {"arc": pd.DataFrame({"src": ["a", "b", "c"], "dst": ["b", "c", "a"]})},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PACKING))
+    def test_packed_and_generic_rounds_agree(self, spark, monkeypatch, case):
+        """FAST-DEDUP's packed keys and the generic merge give the same
+        rounds — |R|, |ΔR| and |Rδ| per step — and Spark's result; the
+        packed path engages only on non-negative integer tuples that fit
+        the key."""
+        packs, program, pdfs = self.PACKING[case]
+        program = programs.get_program(program) if program == "tc" else parse_program(program)
+        edb = spark_edb(spark, pdfs)
+        steps = []
+        step = local.step
+
+        def observed(*args, **kwargs):
+            rel, delta, new_rows = step(*args, **kwargs)
+            steps[-1].append((rel.rows(), delta.rows(), new_rows, rel.keys is not None))
+            return rel, delta, new_rows
+
+        monkeypatch.setattr(local, "step", observed)
+        runs = {}
+        for fast in (True, False):
+            steps.append([])
+            eng = RecStepEngine(spark, RecStepOptions(local_rows=500, fast_dedup=fast))
+            out = eng.evaluate(program, edb)
+            assert eng.metrics.local_rounds == max(eng.metrics.iterations.values())
+            runs[fast] = (eng.metrics.iterations, {p: sorted(map(tuple, df.collect()))
+                                                   for p, df in out.items()})
+        eng = RecStepEngine(spark, EXECUTORS["spark"])
+        out = eng.evaluate(program, edb)
+        spark_run = (eng.metrics.iterations, {p: sorted(map(tuple, df.collect()))
+                                              for p, df in out.items()})
+        assert runs[True] == runs[False] == spark_run
+        packed, generic = steps
+        assert [s[:3] for s in packed] == [s[:3] for s in generic]
+        assert {s[3] for s in packed} == {packs} and not any(s[3] for s in generic)
+        if case == "split_duplicate":
+            # Round 2: 40 distinct candidates over 2 slices, 1 already in R.
+            assert packed[1][:3] == (480, 39, 40)
 
     def test_join_is_sized_from_key_counts(self, spark):
         # 40 × 40 rows, but each key matches once: a 40-row join.
