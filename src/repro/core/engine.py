@@ -35,13 +35,13 @@ stratum's own R, which bounds each Δ) is within
 pandas (:mod:`repro.core.local`), interpreting the same rule plans with
 the same dedup, set-difference, meld and aggregation semantics;
 otherwise on Spark. The row counts are the ones OOF already records, so
-the choice runs no Spark job. A driver step bounds what the driver
-holds, not the round's candidates: a join that would pass
-``local_rows`` runs in slices of Δ (or, in a first round, of the first
-scan) whose joins each fit, and each slice is merged into ΔR before the
-next is built. With FAST-DEDUP a set IDB's R is a sorted array of packed
-keys that each round probes and extends, so a round costs O(|Δ|) plus
-one merge of ΔR into R. A step in which one row's fan-out or R ∪ ΔR
+the choice runs no Spark job. On the driver the bound caps each join
+slice and R ∪ ΔR, not the round's candidates: a join that would pass
+``local_rows`` runs in slices of its left side (Δ when it is one of the
+first two scans) whose joins each fit, and each slice is merged into ΔR
+before the next is built. With FAST-DEDUP a set IDB's R is a sorted
+array of packed keys that each round probes and extends, so a round
+costs O(|Δ|) plus one merge of ΔR into R. A step in which one row's fan-out or R ∪ ΔR
 would pass ``local_rows``, or whose data pandas would answer
 differently (NULLs, overflow, strings meeting numbers), raises
 ``local.Fallback`` before it changes anything and runs on Spark; from

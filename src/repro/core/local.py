@@ -15,12 +15,13 @@ This module interprets the compiler's executor-neutral
 - :func:`derive` — one subquery: the plan's scans, joins, filters and
   anti joins, projected onto the head's positional columns ``c0..``
   and cast to the IDB's column types. A join that would pass the size
-  bound is cut into slices of its left side whose joins each fit;
+  bound is cut into slices of its left side (Δ when it is one of the
+  first two scans, else the first scan) whose joins each fit;
 - :func:`step` — one IDB's merge: dedup, non-recursive aggregation,
   then set difference and R ∪ ΔR for a set IDB, or the MIN/MAX meld. A
   set IDB merges each slice into ΔR before the next is built, so the
-  bound caps what the driver holds (R ∪ ΔR and one slice), not the
-  round's candidates. With FAST-DEDUP it works on packed keys
+  bound caps each slice and R ∪ ΔR, not the round's candidates. With
+  FAST-DEDUP it works on packed keys
   (:func:`repro.core.dedup.pack_keys`): dedup by hashing one int64 per
   tuple, set difference by probing R's sorted key array.
 
@@ -30,6 +31,9 @@ string meeting a number in a join, comparison, arithmetic or cast — or
 where one row's join fan-out, R ∪ ΔR or an aggregate's candidates would
 exceed the size bound, the work raises :class:`Fallback` before
 anything is changed, and the engine runs that step on Spark instead.
+|R ∪ ΔR| is known only once the slices are deduplicated, so that check
+fires mid-round and Spark redoes the slices merged so far; the stratum
+then stays on Spark, so this happens at most once per stratum.
 
 :class:`Relation` holds one version of a relation in whichever form
 produced it — a Spark frame, a pandas table, or a sorted key array —
@@ -161,10 +165,16 @@ def derive(
     if not plan.positives:
         yield _cast(pd.DataFrame({f"c{i}": [e.value] for i, e in enumerate(plan.head)}), types)
         return
-    parts = [
-        _scan(scan, delta if i == delta_idx else rels[scan.pred].pandas())
-        for i, scan in enumerate(plan.positives)
-    ]
+    # A join past the bound is cut into slices of its left side. Δ second
+    # in plan order swaps with the first scan to be that side: the two
+    # share the same join, and later joins see the same variables. Δ
+    # further right keeps the plan's order: leading with it there would
+    # change the joins' sizes (it doubled Andersen's driver time).
+    order = list(range(len(plan.positives)))
+    if delta_idx == 1:
+        order[:2] = [1, 0]
+    scans = [(i, plan.positives[i]) for i in order]
+    parts = [_scan(scan, delta if i == delta_idx else rels[scan.pred].pandas()) for i, scan in scans]
     negations = [
         (_scan(scan, rels[scan.pred].pandas()), list(on)) for scan, on in plan.negations
     ]
@@ -320,83 +330,103 @@ def step(
     and meld IDBs group all candidates at once, within ``max_rows``."""
     if spec is not None:
         return _grouped(rel, pieces, spec=spec, meld=meld, max_rows=max_rows)
-    types = rel.types
-    if max_value is not None and set(types) == {"long"}:
-        bits = compact_key_bits(len(types), max_value)
+    form: _Keys | _Tables = _Tables(rel.types)
+    if max_value is not None and set(rel.types) == {"long"}:
+        bits = compact_key_bits(len(rel.types), max_value)
         if bits is not None:
-            return _packed_union(rel, pieces, bits, max_rows)
-    return _union(rel, pieces, max_rows)
+            form = _Keys(rel.types, bits)
+    return _set_union(rel, pieces, max_rows, form)
 
 
-def _packed_union(
-    rel: Relation, pieces: Iterable[pd.DataFrame], bits: int, max_rows: int
+def _set_union(
+    rel: Relation, pieces: Iterable[pd.DataFrame], max_rows: int, form: _Keys | _Tables
 ) -> tuple[Relation, Relation, int]:
-    """FAST-DEDUP on the driver: each piece becomes one packed key per
-    row, deduplicated by hashing that key, then probed against R's
-    sorted keys and ΔR's. R's keys are not copied until R ∪ ΔR merges
-    ΔR's sorted keys into them."""
-    old = rel.index(bits)
-    hit = np.zeros(len(old), dtype=bool)  # R's keys derived again: r = Rδ ∩ R
-    new = np.empty(0, dtype=np.int64)  # ΔR's keys so far, sorted
+    """A set IDB's merge: each piece deduplicated, then probed against R
+    and against ΔR so far, its new tuples added to ΔR. ``form`` holds the
+    tuples as packed keys or as tables; R is not copied until R ∪ ΔR."""
+    old = form.index(rel)
+    hit = np.zeros(len(old), dtype=bool)  # R's tuples derived again: r = Rδ ∩ R
+    new = form.empty  # ΔR so far
     for piece in pieces:
-        keys = pd.unique(pack_keys([piece[c].to_numpy() for c in piece.columns], bits))
-        pos, found = _probe(old, keys)
-        hit[pos[found]] = True
-        keys = keys[~found]
-        keys = np.sort(keys[~_probe(new, keys)[1]])
-        if len(old) + len(new) + len(keys) > max_rows:
-            raise Fallback(f"R ∪ ΔR of {len(old) + len(new) + len(keys)} rows")
-        new = _insert(new, keys)
-    delta = Relation(rel.types, keys=new, bits=bits)
+        cands = form.distinct(piece)
+        found, rows = form.probe(old, cands)
+        hit[rows] = True
+        cands = cands[~found]
+        cands = cands[~form.probe(new, cands)[0]]
+        if len(old) + len(new) + len(cands) > max_rows:
+            raise Fallback(f"R ∪ ΔR of {len(old) + len(new) + len(cands)} rows")
+        new = form.insert(new, cands)
+    delta = form.relation(new)
     r_delta = int(hit.sum()) + len(new)
     if not len(old):
         return delta, delta, r_delta
     if not len(new):
         return rel, delta, r_delta
-    return Relation(rel.types, keys=_insert(old, new), bits=bits), delta, r_delta
+    return form.relation(form.insert(old, new)), delta, r_delta
 
 
-def _probe(index: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each of ``keys`` falls in the sorted ``index``, and whether
-    it is there."""
-    pos = np.searchsorted(index, keys)
-    found = pos < len(index)
-    found[found] = index[pos[found]] == keys[found]
-    return pos, found
+class _Keys:
+    """FAST-DEDUP's form: one packed int64 key per tuple, deduplicated by
+    hashing; R is its sorted key array, probed by binary search."""
+
+    def __init__(self, types: tuple[str, ...], bits: int):
+        self.types, self.bits = types, bits
+        self.empty = np.empty(0, dtype=np.int64)
+
+    def index(self, rel: Relation) -> np.ndarray:
+        return rel.index(self.bits)
+
+    def distinct(self, piece: pd.DataFrame) -> np.ndarray:
+        return pd.unique(pack_keys([piece[c].to_numpy() for c in piece.columns], self.bits))
+
+    @staticmethod
+    def probe(index: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which of ``keys`` the sorted ``index`` holds, and where."""
+        pos = np.searchsorted(index, keys)
+        found = pos < len(index)
+        found[found] = index[pos[found]] == keys[found]
+        return found, pos[found]
+
+    @staticmethod
+    def insert(index: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        keys = np.sort(keys)
+        return np.insert(index, np.searchsorted(index, keys), keys)
+
+    def relation(self, keys: np.ndarray) -> Relation:
+        return Relation(self.types, keys=keys, bits=self.bits)
 
 
-def _insert(index: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The sorted ``index`` with the sorted ``keys`` (none already in
-    it) merged in."""
-    return np.insert(index, np.searchsorted(index, keys), keys)
+class _Tables:
+    """The generic form: tables deduplicated over all columns; R is
+    probed by a join that numbers its rows."""
 
+    def __init__(self, types: tuple[str, ...]):
+        self.types, self.empty = types, empty(types)
 
-def _union(
-    rel: Relation, pieces: Iterable[pd.DataFrame], max_rows: int
-) -> tuple[Relation, Relation, int]:
-    """The generic set merge: each piece deduplicated over all columns
-    and anti-joined with R and with ΔR so far."""
-    old = rel.pandas()
-    cols = list(old.columns)
-    numbered = old.assign(__row=np.arange(len(old)))
-    hit = np.zeros(len(old), dtype=bool)  # R's rows derived again: r = Rδ ∩ R
-    new = empty(rel.types)
-    for piece in pieces:
-        piece = piece.drop_duplicates()
-        row = piece.merge(numbered, on=cols, how="left")["__row"].to_numpy()
+    @staticmethod
+    def index(rel: Relation) -> pd.DataFrame:
+        return rel.pandas()
+
+    @staticmethod
+    def distinct(piece: pd.DataFrame) -> pd.DataFrame:
+        return piece.drop_duplicates()
+
+    @staticmethod
+    def probe(index: pd.DataFrame, table: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
+        """Which rows of ``table`` ``index`` holds, and at which of its rows."""
+        if index.empty or table.empty:
+            return np.zeros(len(table), dtype=bool), np.empty(0, dtype=np.int64)
+        numbered = index.assign(__row=np.arange(len(index)))
+        row = table.merge(numbered, on=list(index.columns), how="left")["__row"].to_numpy()
         found = ~np.isnan(row)
-        hit[row[found].astype(np.int64)] = True
-        piece = _anti(piece[~found], new, cols)
-        if len(old) + len(new) + len(piece) > max_rows:
-            raise Fallback(f"R ∪ ΔR of {len(old) + len(new) + len(piece)} rows")
-        new = pd.concat([new, piece], ignore_index=True)
-    delta = Relation(rel.types, table=new)
-    r_delta = int(hit.sum()) + len(new)
-    if not len(old):
-        return delta, delta, r_delta
-    if not len(new):
-        return rel, delta, r_delta
-    return Relation(rel.types, table=pd.concat([old, new], ignore_index=True)), delta, r_delta
+        return found, row[found].astype(np.int64)
+
+    @staticmethod
+    def insert(index: pd.DataFrame, table: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat([index, table], ignore_index=True)
+
+    def relation(self, table: pd.DataFrame) -> Relation:
+        return Relation(self.types, table=table)
 
 
 def _grouped(

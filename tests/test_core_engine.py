@@ -463,12 +463,17 @@ class TestRoundExecutors:
         monkeypatch.setattr(pd.DataFrame, "merge", sized)
         return built
 
-    def test_sliced_join_stays_on_the_driver(self, spark, monkeypatch):
+    @pytest.mark.parametrize("program", [
+        programs.PROGRAMS["tc"][0],
+        # Δ second in the body: its slices lead the join instead of arc's
+        "tc(x, y) :- arc(x, y).\ntc(x, y) :- arc(x, z), tc(z, y).",
+    ], ids=["delta_first", "delta_second"])
+    def test_sliced_join_stays_on_the_driver(self, spark, monkeypatch, program):
         """A Δ-join past ``local_rows`` whose R ∪ ΔR fits is built in
         slices, each within the bound, and the round stays on the driver."""
         built = self.merges(monkeypatch)
         eng = RecStepEngine(spark, RecStepOptions(local_rows=500))
-        out = eng.evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": self.FAN_IN}))
+        out = eng.evaluate(parse_program(program), spark_edb(spark, {"arc": self.FAN_IN}))
         largest = max(built)
         monkeypatch.undo()
         assert eng.metrics.local_rounds == eng.metrics.iterations["tc"] == 3
