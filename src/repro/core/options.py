@@ -57,21 +57,27 @@ class RecStepOptions:
         A semi-naive round starts on the driver over pandas
         (:mod:`repro.core.local`) when every relation it reads is within
         this many rows; other rounds run on Spark. On the driver the
-        bound caps each join slice and R ∪ ΔR: a join larger than this
-        is built in slices of Δ that each fit, and the step moves to
-        Spark before one row's join or R ∪ ΔR (an aggregate's
-        candidates) would pass it. 0 runs every round on Spark, which is
-        what the Section 5 optimizations above act on. The bound caps
-        the driver's memory, not its time: on a 4-core host the driver won on every
-        program tried and came within 10% of Spark at the bound (warm,
-        default against 0: Table 4's CSDA
-        0.94 s against 12.5 s, Andersen 15.3 against 16.8 s, CSPA 10.0
-        against 10.2 s, tc over ``gnp_arcs(1200, 0.005)`` 4.7 against
-        5.7 s; a 1M-row join at the bound 2.9 against 2.7 s), and the
-        driver's Python peak RSS stayed within 269 MB (a 4-column join
-        at the bound; 118 MB of it the interpreter with pyspark and
-        pandas), inside the 384 MB minimum of
-        ``spark.driver.memoryOverhead``.
+        bound caps each join slice and R ∪ ΔR, not the round's
+        candidates: a join larger than this is built in slices that
+        each fit, and the step moves to Spark before one row's join or
+        R ∪ ΔR (an aggregate's candidates) would pass it. 0 runs every
+        round on Spark, which is what the Section 5 optimizations above
+        act on. The bound caps the driver's memory, not its time. On a
+        4-core host (warm, default against 0, one sitting) the driver
+        won on every recursive program tried: Table 4's CSDA 1.8 s against
+        32.4 s, Andersen 21.5 against 38.7 s and CSPA 17.1 against
+        23.0 s (every round on the driver), tc over
+        ``gnp_arcs(990, 0.02)`` 8.1 against 10.6 s (every round, joins
+        sliced at the bound) and over ``gnp_arcs(1200, 0.005)`` 12.7
+        against 13.5 s (4 of 9 rounds). A 998,001-row join at the bound
+        took 4.1–4.5 s against 2.1 s, nearly all of it returning the
+        result (the round took 0.2 s). The driver holds one slice per
+        join level, R ∪ ΔR, the tables decoded from R and Δ, and the
+        head: its Python peak RSS reached 335 MB on the tc-shaped
+        ``gnp_arcs(990, 0.02)`` run and 387–393 MB on CSPA and
+        Andersen, whose three-atom rules hold two slices (about 120 MB
+        of each figure is the interpreter with pyspark and pandas),
+        just above the 384 MB minimum of ``spark.driver.memoryOverhead``.
     """
 
     uie: bool = True
