@@ -174,7 +174,9 @@ def derive(
     if delta_idx == 1:
         order[:2] = [1, 0]
     scans = [(i, plan.positives[i]) for i in order]
-    parts = [_scan(scan, delta if i == delta_idx else rels[scan.pred].pandas()) for i, scan in scans]
+    parts = [
+        _scan(scan, delta if i == delta_idx else rels[scan.pred].pandas()) for i, scan in scans
+    ]
     negations = [
         (_scan(scan, rels[scan.pred].pandas()), list(on)) for scan, on in plan.negations
     ]
