@@ -64,9 +64,9 @@ class RecStepOptions:
         round on Spark, which is what the Section 5 optimizations above
         act on. The bound caps the driver's memory, not its time. On a
         4-core host (warm, default against 0, one sitting) the driver
-        won on every recursive program tried: Table 4's CSDA 1.8 s against
-        32.4 s, Andersen 21.5 against 38.7 s and CSPA 17.1 against
-        23.0 s (every round on the driver), tc over
+        won on every recursive program tried: Table 4's CSDA 1.8 s
+        against 32.4 s, Andersen 21.5 against 38.7 s and CSPA 17.1
+        against 23.0 s (every round on the driver), tc over
         ``gnp_arcs(990, 0.02)`` 8.1 against 10.6 s (every round, joins
         sliced at the bound) and over ``gnp_arcs(1200, 0.005)`` 12.7
         against 13.5 s (4 of 9 rounds). A 998,001-row join at the bound
