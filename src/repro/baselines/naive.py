@@ -17,6 +17,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.compiler import (
     apply_aggregation,
     compile_rule_body,
+    empty_relation,
     load_relations,
     project_head,
 )
@@ -42,7 +43,9 @@ class NaiveEngine:
             else analyze_program(program_or_analyzed)
         )
         self.iterations = {}
-        rels, types = load_relations(self.spark, analyzed, edb)
+        rels, types = load_relations(analyzed, edb)
+        for pred in analyzed.idbs:
+            rels[pred] = empty_relation(self.spark, types[pred])
         for stratum in analyzed.strata:
             preds = sorted(stratum.predicates)
             while True:

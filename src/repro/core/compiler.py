@@ -22,8 +22,8 @@ left-to-right join pipeline in which
 :func:`compile_rule_body` and :func:`project_head` run a plan on Spark;
 :mod:`repro.core.local` runs the same plan over pandas on the driver.
 
-:func:`load_relations` sets up an evaluation's starting relations and
-column types, the same way for every engine built on this compiler.
+:func:`load_relations` sets up an evaluation's EDB relations and column
+types, the same way for every engine built on this compiler.
 
 OOF hook: when a :class:`~repro.core.stats.StatsCollector` with fresh
 row counts is supplied, the small side of each join is broadcast-hinted
@@ -36,6 +36,7 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -64,9 +65,13 @@ def positional_columns(arity: int) -> list[str]:
 def normalize_edb(df: DataFrame, arity: int) -> DataFrame:
     """Rename an input EDB frame to positional columns and deduplicate
     (EDBs are sets; generators may emit duplicate arcs)."""
+    return _positional(df, arity).dropDuplicates()
+
+
+def _positional(df: DataFrame, arity: int) -> DataFrame:
     if len(df.columns) != arity:
         raise CompileError(f"expected {arity} columns, got {df.columns}")
-    return df.toDF(*positional_columns(arity)).dropDuplicates()
+    return df.toDF(*positional_columns(arity))
 
 
 def schema(types: tuple[str, ...]) -> str:
@@ -81,21 +86,40 @@ def empty_relation(spark: SparkSession, types: tuple[str, ...]) -> DataFrame:
 
 
 def load_relations(
-    spark: SparkSession, analyzed: AnalyzedProgram, edb: dict[str, DataFrame]
-) -> tuple[dict[str, DataFrame], dict[str, tuple[str, ...]]]:
-    """The starting relations of an evaluation and every relation's
-    column types: each EDB normalized and checkpointed, each IDB empty."""
-    rels: dict[str, DataFrame] = {}
+    analyzed: AnalyzedProgram,
+    edb: dict[str, DataFrame],
+    *,
+    collect_rows: int = 0,
+) -> tuple[dict[str, DataFrame | pd.DataFrame], dict[str, tuple[str, ...]]]:
+    """The EDB relations an evaluation starts from, each normalized and
+    checkpointed, and every relation's column types (taken from the
+    frames' schemas, which runs no job).
+
+    With ``collect_rows`` > 0 each EDB is first collected in one job
+    capped at ``collect_rows + 1`` rows. If at most ``collect_rows``
+    rows come back and none holds a NULL, the EDB is that pandas table
+    with positional columns, deduplicated on the driver; otherwise the
+    collect is dropped and the EDB is checkpointed as above."""
+    rels: dict[str, DataFrame | pd.DataFrame] = {}
+    types: dict[str, tuple[str, ...]] = {}
     for pred in analyzed.edbs:
         if pred not in edb:
             raise ValueError(f"missing EDB relation {pred!r}")
-        rels[pred] = normalize_edb(edb[pred], analyzed.arities[pred]).localCheckpoint()
-    types = analyzed.infer_types({
-        p: tuple(_type_name(t) for _, t in rels[p].dtypes) for p in analyzed.edbs
-    })
-    for pred in analyzed.idbs:
-        rels[pred] = empty_relation(spark, types[pred])
-    return rels, types
+        named = _positional(edb[pred], analyzed.arities[pred])
+        table = _collect(named, collect_rows) if collect_rows > 0 else None
+        rels[pred] = named.dropDuplicates().localCheckpoint() if table is None else table
+        types[pred] = tuple(_type_name(t) for _, t in named.dtypes)
+    return rels, analyzed.infer_types(types)
+
+
+def _collect(df: DataFrame, max_rows: int) -> pd.DataFrame | None:
+    """``df`` as a deduplicated table if it has at most ``max_rows`` rows
+    and no NULLs (which the driver executor leaves to Spark), from one
+    job capped at ``max_rows + 1`` rows; else ``None``."""
+    table = df.limit(max_rows + 1).toPandas()
+    if len(table) > max_rows or table.isna().to_numpy().any():
+        return None
+    return table.drop_duplicates(ignore_index=True)
 
 
 # -- the executor-neutral rule plan ---------------------------------------

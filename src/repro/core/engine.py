@@ -48,9 +48,14 @@ differently (NULLs, overflow, strings meeting numbers), raises
 then on, as once R outgrows the bound, the stratum stays on Spark.
 Each relation is held in the form that produced it and converted on
 demand, at most once per version: ``toPandas`` (or a decode of its
-keys) for a driver round, a Parquet write read back by Spark for a
-Spark one (:meth:`_frame`), and ``createDataFrame`` for a result
-(:meth:`_result`).
+keys) for a driver round, and a Parquet write read back by Spark for a
+Spark round or a result (:meth:`_frame`). With ``local_rows`` > 0 an
+EDB of at most that many rows enters on the driver, collected in one
+job capped at ``local_rows + 1`` rows; a larger one (or one with NULLs)
+is deduplicated and checkpointed on Spark. A result that reads the
+evaluation's files is pinned with ``localCheckpoint`` before they are
+deleted (:meth:`_result`), so an evaluation crosses the Spark boundary
+once on the way in and once on the way out.
 
 Spark specifics: every per-iteration state frame is materialized with a
 truncated lineage (``localCheckpoint``) so plans do not grow across
@@ -72,6 +77,7 @@ import tempfile
 import uuid
 from dataclasses import dataclass, field
 
+import pandas as pd
 from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
@@ -154,61 +160,75 @@ class RecStepEngine:
         opts = self.options
         stats = StatsCollector(opts.oof)
 
-        rels, types = load_relations(self.spark, analyzed, edb)
-        edb_bound: int | None = 0
-        for pred in analyzed.edbs:
-            rows, bound = _profile(rels[pred])
-            stats.record(pred, rows)
-            if bound is None or edb_bound is None:
-                edb_bound = None  # negative ids: compact key unusable
-            else:
-                edb_bound = max(edb_bound, bound)
-
-        # PBME fast path (Section 5.3): TC/SG-shaped program over a
-        # small enough active domain of integer ids.
-        shape = pbme.match_program(analyzed) if opts.pbme and edb_bound is not None else None
-        if (
-            shape is not None
-            and edb_bound + 1 <= opts.pbme_max_vertices
-            and set(types[shape.edb]) == {"long"}
-        ):
-            self.metrics.pbme_used = True
-            return pbme.evaluate(self.spark, shape, rels, n=edb_bound + 1)
-
-        for pred in analyzed.idbs:
-            stats.record(pred, 0)
-        # IDBs start empty on the driver: a first round there reads them
-        # with no Spark job, and one on Spark converts them for free.
-        ev = _Evaluation(
-            analyzed,
-            {p: Relation(types[p], frame=rels[p]) for p in analyzed.edbs}
-            | {p: Relation(types[p], table=local.empty(types[p])) for p in analyzed.idbs},
-            types,
-            stats,
-            analyzed.value_bounds(edb_bound),
-        )
-        for pred in analyzed.edbs:
-            self._owned[id(rels[pred])] = (rels[pred], None)
+        loaded, types = load_relations(analyzed, edb, collect_rows=opts.local_rows)
         self._commit_dir = tempfile.mkdtemp(prefix="recstep_")
         out: dict[str, DataFrame] = {}
         try:
-            for stratum in analyzed.strata:
-                self._evaluate_stratum(ev, stratum)
-            self.metrics.analyze_calls = stats.analyze_calls
+            # IDBs start empty on the driver: a first round there reads
+            # them with no Spark job, and a Spark round makes an empty
+            # frame only for those it reads.
+            rels = {p: Relation(types[p], table=local.empty(types[p])) for p in analyzed.idbs}
+            edb_bound: int | None = 0
+            for pred in analyzed.edbs:
+                if isinstance(loaded[pred], DataFrame):
+                    rows, bound = _profile(loaded[pred])
+                    rels[pred] = Relation(types[pred], frame=loaded[pred])
+                    self._owned[id(loaded[pred])] = (loaded[pred], None)
+                else:
+                    rows, bound = _profile_table(loaded[pred])
+                    rels[pred] = Relation(types[pred], table=loaded[pred])
+                stats.record(pred, rows)
+                if bound is None or edb_bound is None:
+                    edb_bound = None  # negative ids: compact key unusable
+                else:
+                    edb_bound = max(edb_bound, bound)
+            results = self._pbme(analyzed, rels, types, edb_bound)
+            if results is None:
+                for pred in analyzed.idbs:
+                    stats.record(pred, 0)
+                ev = _Evaluation(
+                    analyzed, rels, types, stats, analyzed.value_bounds(edb_bound)
+                )
+                for stratum in analyzed.strata:
+                    self._evaluate_stratum(ev, stratum)
+                self.metrics.analyze_calls = stats.analyze_calls
+                results = ev.rels
             for p in analyzed.idbs:
-                out[p] = self._result(ev.rels[p])
+                out[p] = self._result(results[p])
             return out
         finally:
             # Release what no result reads now rather than when the JVM
             # collects it: the EDB checkpoints and any frame still held.
-            results = {id(df) for df in out.values()}
+            kept = {id(df) for df in out.values()}
             for key, (frame, _) in list(self._owned.items()):
-                if key not in results:
+                if key not in kept:
                     self._release(frame)
             self._owned.clear()
-            if self._commit_dir is not None:
-                shutil.rmtree(self._commit_dir, ignore_errors=True)
-                self._commit_dir = None
+            shutil.rmtree(self._commit_dir, ignore_errors=True)
+            self._commit_dir = None
+
+    def _pbme(
+        self,
+        analyzed: AnalyzedProgram,
+        rels: dict[str, Relation],
+        types: dict[str, tuple[str, ...]],
+        edb_bound: int | None,
+    ) -> dict[str, Relation] | None:
+        """The PBME fast path (Section 5.3): the result of a TC/SG-shaped
+        program over a small enough active domain of integer ids, or
+        ``None`` when it does not apply."""
+        opts = self.options
+        if not opts.pbme or edb_bound is None or edb_bound + 1 > opts.pbme_max_vertices:
+            return None
+        shape = pbme.match_program(analyzed)
+        if shape is None or set(types[shape.edb]) != {"long"}:
+            return None
+        try:
+            arcs = rels[shape.edb].pandas()
+        except local.Fallback:  # NULL arcs: no bit matrix holds them
+            return None
+        self.metrics.pbme_used = True
+        return pbme.evaluate(self.spark, shape, arcs, n=edb_bound + 1)
 
     # -- helpers ---------------------------------------------------------
     def _materialize(self, df: DataFrame, name: str) -> tuple[DataFrame, int]:
@@ -230,8 +250,10 @@ class RecStepEngine:
 
     def _frame(self, rel: Relation) -> DataFrame:
         """``rel`` as a Spark frame. A driver-held version is written to
-        Parquet once and read back, so each Spark scan of it reads files
-        rather than re-shipping its rows from the driver."""
+        Parquet once (:func:`local.write_parquet`) and read back with its
+        typed schema, so each Spark scan of it reads files rather than
+        re-shipping its rows from the driver; the files live until the
+        version is released or the evaluation ends."""
         if rel.frame is None:
             if not rel.rows():
                 rel.frame = empty_relation(self.spark, rel.types)
@@ -245,14 +267,15 @@ class RecStepEngine:
         return rel.frame
 
     def _result(self, rel: Relation) -> DataFrame:
-        """``rel`` as a result frame. A driver-held version goes back
-        through ``createDataFrame`` and holds no storage; a frame that
-        reads this evaluation's files is pinned in memory first, since
-        the files are deleted when the evaluation ends."""
-        if rel.frame is None:
-            return self.spark.createDataFrame(rel.pandas(), schema(rel.types))
-        files = self._owned.get(id(rel.frame), (None, None))[1]
-        return rel.frame.localCheckpoint(eager=True) if files else rel.frame
+        """``rel`` as a result frame. A driver-held version is handed to
+        Spark as Parquet (:meth:`_frame`); like any frame that reads
+        this evaluation's files, it is then pinned in memory, since the
+        files are deleted when the evaluation ends. A result is thus
+        never a ``LocalRelation``, whose every action would re-ship its
+        rows from the driver."""
+        frame = self._frame(rel)
+        files = self._owned.get(id(frame), (None, None))[1]
+        return frame.localCheckpoint(eager=True) if files else frame
 
     def _release(self, frame: DataFrame | None) -> None:
         """Free the storage behind a frame ``_materialize`` made, once no
@@ -510,21 +533,38 @@ class RecStepEngine:
         return Relation(types, frame=delta), rows
 
 
+#: Spark's integral column types, the columns FAST-DEDUP's key packs
+_INTEGRAL = ("bigint", "int", "smallint", "tinyint")
+
+
 def _profile(df: DataFrame) -> tuple[int, int | None]:
     """Row count and active-domain bound of an EDB, in one aggregate
     query. The bound is the max value over integral columns if all are
     non-negative (what the compact dedup key needs); ``None`` when any
     integral value is negative (packing would smear sign bits). Frames
     without integral columns have bound 0 (nothing to pack there)."""
-    int_cols = [c for c, t in df.dtypes if t in ("bigint", "int", "smallint", "tinyint")]
+    int_cols = [c for c, t in df.dtypes if t in _INTEGRAL]
     aggs = [F.count(F.lit(1)).alias("rows")]
     for c in int_cols:
         aggs += [F.max(F.col(c)).alias(f"mx_{c}"), F.min(F.col(c)).alias(f"mn_{c}")]
     row = df.agg(*aggs).collect()[0].asDict()
-    maxima = [row[f"mx_{c}"] for c in int_cols if row[f"mx_{c}"] is not None]
-    minima = [row[f"mn_{c}"] for c in int_cols if row[f"mn_{c}"] is not None]
-    if not maxima:
-        return row["rows"], 0
-    if min(minima) < 0:
-        return row["rows"], None
-    return row["rows"], int(max(maxima))
+    return row["rows"], _bound([(row[f"mn_{c}"], row[f"mx_{c}"]) for c in int_cols])
+
+
+def _profile_table(table: pd.DataFrame) -> tuple[int, int | None]:
+    """:func:`_profile` of an EDB collected to the driver, computed
+    there. A table without NULLs holds Spark's integral columns, and
+    only those, as numpy integers."""
+    int_cols = [c for c in table.columns if table[c].dtype.kind == "i"]
+    return len(table), _bound([(table[c].min(), table[c].max()) for c in int_cols if len(table)])
+
+
+def _bound(ranges: list[tuple[int | None, int | None]]) -> int | None:
+    """The active-domain bound of :func:`_profile` from each integral
+    column's (min, max), both ``None`` over no rows."""
+    ranges = [(lo, hi) for lo, hi in ranges if hi is not None]
+    if not ranges:
+        return 0
+    if min(lo for lo, _ in ranges) < 0:
+        return None
+    return int(max(hi for _, hi in ranges))

@@ -62,6 +62,8 @@ _DTYPES = {"long": "int64", "double": "float64", "string": str}
 #: the numpy dtype kinds a column may hold to be cast to each type
 _CASTABLE = {"long": "iu", "double": "iuf", "string": "O"}
 _ARROW = {"long": pa.int64(), "double": pa.float64(), "string": pa.string()}
+#: rows per Parquet file a relation handed to Spark is written in, at least
+_FILE_ROWS = 1 << 17
 _AGG = {"MIN": "min", "MAX": "max", "SUM": "sum", "AVG": "mean", "COUNT": "count"}
 #: integer results at or above this magnitude go to Spark, which raises
 #: on a 64-bit overflow where numpy wraps around
@@ -134,13 +136,17 @@ def empty(types: tuple[str, ...]) -> pd.DataFrame:
 
 
 def write_parquet(table: pd.DataFrame, types: tuple[str, ...], path: str, parts: int) -> None:
-    """Write ``table`` as up to ``parts`` Parquet files under ``path``,
-    typed as Spark reads them back: each later Spark scan is a file read,
-    not a re-shipment of the rows from the driver."""
+    """Write ``table`` as Parquet files under ``path``, typed as Spark
+    reads them back: each later Spark scan is a file read, not a
+    re-shipment of the rows from the driver. There is one file per
+    :data:`_FILE_ROWS` rows, at least one and at most ``parts`` (one per
+    core): each file is one task of every scan, and on a small relation
+    a task costs more than reading its rows."""
     schema = pa.schema([(f"c{i}", _ARROW[t]) for i, t in enumerate(types)])
     rows = pa.Table.from_pandas(table, schema=schema, preserve_index=False)
     os.makedirs(path)
-    size = max(1, -(-len(rows) // parts))
+    files = min(parts, max(1, len(rows) // _FILE_ROWS))
+    size = max(1, -(-len(rows) // files))
     for i, start in enumerate(range(0, len(rows), size)):
         pq.write_table(rows.slice(start, size), f"{path}/part-{i}.parquet")
 

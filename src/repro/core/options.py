@@ -70,10 +70,11 @@ class RecStepOptions:
         ``gnp_arcs(990, 0.02)`` 8.1 against 10.6 s (every round, joins
         sliced at the bound) and over ``gnp_arcs(1200, 0.005)`` 12.7
         against 13.5 s (4 of 9 rounds). A 998,001-row join at the bound
-        took 4.1–4.5 s against 2.1 s, nearly all of it returning the
-        result (the round took 0.2 s). The driver holds one slice per
-        join level, R ∪ ΔR, the tables decoded from R and Δ, and the
-        head: its Python peak RSS reached 335 MB on the tc-shaped
+        took 0.8 s warm (the round 0.2 s; 2.1 s on Spark in an earlier
+        sitting). An EDB within the bound enters on the driver, from one
+        job that collects at most this many rows plus one. The driver
+        holds one slice per join level, R ∪ ΔR, the tables decoded from
+        R and Δ, and the head: its Python peak RSS reached 335 MB on the tc-shaped
         ``gnp_arcs(990, 0.02)`` run and 387–393 MB on CSPA and
         Andersen, whose three-atom rules hold two slices (about 120 MB
         of each figure is the interpreter with pyspark and pandas),

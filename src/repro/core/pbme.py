@@ -33,6 +33,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.local import Relation
 from repro.datalog.analyzer import AnalyzedProgram
 from repro.datalog.ast import Atom, Condition, Var
 
@@ -189,11 +190,11 @@ def _closure_row(arc: np.ndarray, i: int, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def pbme_tc(spark: SparkSession, arc_df: DataFrame, n: int) -> DataFrame:
-    """Evaluate transitive closure with the bit-matrix; returns (c0, c1)."""
-    pdf = arc_df.toPandas()
-    src = pdf.iloc[:, 0].to_numpy()
-    dst = pdf.iloc[:, 1].to_numpy()
+def pbme_tc(spark: SparkSession, arcs: pd.DataFrame, n: int) -> DataFrame:
+    """Evaluate transitive closure over the driver-held ``arcs`` with the
+    bit-matrix; returns a lazy frame of (c0, c1)."""
+    src = arcs.iloc[:, 0].to_numpy()
+    dst = arcs.iloc[:, 1].to_numpy()
     arc = pack_matrix(src, dst, n)
     bc = spark.sparkContext.broadcast(arc)
     rows_with_edges = np.unique(src.astype("int64"))
@@ -254,11 +255,11 @@ def _expand_delta(delta: np.ndarray, arc: np.ndarray, n: int) -> np.ndarray:
     return t
 
 
-def pbme_sg(spark: SparkSession, arc_df: DataFrame, n: int) -> DataFrame:
-    """Evaluate same-generation with the bit-matrix; returns (c0, c1)."""
-    pdf = arc_df.toPandas()
-    src = pdf.iloc[:, 0].to_numpy()
-    dst = pdf.iloc[:, 1].to_numpy()
+def pbme_sg(spark: SparkSession, arcs: pd.DataFrame, n: int) -> pd.DataFrame:
+    """Evaluate same-generation over the driver-held ``arcs`` with the
+    bit-matrix; returns the table of (c0, c1), which the driver melds."""
+    src = arcs.iloc[:, 0].to_numpy()
+    dst = arcs.iloc[:, 1].to_numpy()
     arc = pack_matrix(src, dst, n)
     arc_t = pack_matrix(dst, src, n)  # parents index (V_arc reversed)
     sg = _sg_init(arc, n)
@@ -310,23 +311,22 @@ def pbme_sg(spark: SparkSession, arc_df: DataFrame, n: int) -> DataFrame:
         delta = new & ~sg
         sg |= delta
 
-    out_pdf = matrix_to_pairs(sg, n)
-    if out_pdf.empty:
-        return spark.createDataFrame([], "c0 bigint, c1 bigint")
-    return spark.createDataFrame(out_pdf)
+    return matrix_to_pairs(sg, n)
 
 
 def evaluate(
     spark: SparkSession,
     shape: PbmeShape,
-    rels: dict[str, DataFrame],
+    arcs: pd.DataFrame,
     *,
     n: int,
-) -> dict[str, DataFrame]:
-    """Engine entry point: dispatch the matched shape."""
-    arc_df = rels[shape.edb]
+) -> dict[str, Relation]:
+    """Engine entry point: dispatch the matched shape over the driver-held
+    ``arcs``. TC's result is checkpointed where its tasks emit it; SG's
+    stays on the driver, where it was melded, for the engine to return."""
+    types = ("long", "long")
     if shape.kind == "tc":
-        out = pbme_tc(spark, arc_df, n)
+        out = Relation(types, frame=pbme_tc(spark, arcs, n).localCheckpoint())
     else:
-        out = pbme_sg(spark, arc_df, n)
-    return {shape.idb: out.localCheckpoint()}
+        out = Relation(types, table=pbme_sg(spark, arcs, n))
+    return {shape.idb: out}

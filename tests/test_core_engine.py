@@ -24,7 +24,8 @@ from repro import synth_data
 from repro.baselines import souffle_like
 from repro.baselines.naive import NaiveEngine
 from repro.core import RecStepEngine, RecStepOptions, local
-from repro.core.compiler import empty_relation
+from repro.core.compiler import empty_relation, load_relations, normalize_edb
+from repro.core.engine import _profile, _profile_table
 from repro.core.options import ABLATIONS
 from repro.datalog import analyze, programs
 from repro.datalog.parser import parse_program
@@ -366,6 +367,45 @@ class TestEngineContractOnSparkAndMixed(TestEngineContract):
     pass
 
 
+class TestIntake:
+    """An EDB within ``local_rows`` is collected to the driver in one
+    bounded job and profiled there by :func:`_profile`'s rule."""
+
+    FRAMES = {
+        "longs_with_duplicates": ([(1, 2), (1, 2), (0, 7), (3, 3)], "a bigint, b bigint"),
+        "negative_ids": ([(-1, 2), (4, 5)], "a bigint, b bigint"),
+        "doubles": ([(1.5, 2.0), (-3.25, 0.5)], "a double, b double"),
+        "strings": ([("x", "y"), ("x", "y"), ("z", "w")], "a string, b string"),
+        "long_and_string": ([(9, "a"), (2, "b"), (9, "a")], "a bigint, b string"),
+        "ints": ([(3, 1), (2, 8)], "a int, b smallint"),
+        "empty": ([], "a bigint, b bigint"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FRAMES))
+    def test_driver_profile_matches_spark(self, spark, case):
+        rows, ddl = self.FRAMES[case]
+        df = spark.createDataFrame(rows, ddl)
+        analyzed = analyze(parse_program("q(x, y) :- e(x, y)."))
+        rels, _ = load_relations(analyzed, {"e": df}, collect_rows=100)
+        table = rels["e"]
+        assert isinstance(table, pd.DataFrame)
+        assert list(table.columns) == ["c0", "c1"]
+        assert _profile_table(table) == _profile(normalize_edb(df, 2))
+        assert sorted(table.itertuples(index=False, name=None)) == sorted(set(rows))
+
+    @pytest.mark.parametrize("rows, ddl", [
+        ([(1, 2), (None, 3)], "a bigint, b bigint"),  # a NULL
+        ([(i, i) for i in range(101)], "a bigint, b bigint"),  # past the bound
+    ], ids=["null", "over_bound"])
+    def test_spark_intake_otherwise(self, spark, rows, ddl):
+        analyzed = analyze(parse_program("q(x, y) :- e(x, y)."))
+        rels, _ = load_relations(
+            analyzed, {"e": spark.createDataFrame(rows, ddl)}, collect_rows=100
+        )
+        assert not isinstance(rels["e"], pd.DataFrame)
+        assert rels["e"].count() == len(rows)
+
+
 class TestRoundExecutors:
     """The driver and Spark executors run the same rounds; a stratum
     moves from the driver to Spark when its relations outgrow
@@ -404,6 +444,51 @@ class TestRoundExecutors:
         eng = RecStepEngine(spark)
         eng.evaluate(programs.get_program("tc"), spark_edb(spark, {"arc": CHAIN}))
         assert eng.metrics.local_rounds == eng.metrics.iterations["tc"] == 10
+
+    @staticmethod
+    def checkpoints_before_round_1(monkeypatch) -> list[int]:
+        """The number of ``localCheckpoint`` calls made before the first
+        round starts, once the evaluation has run."""
+        calls, seen = [], []
+        checkpoint = classic_df.DataFrame.localCheckpoint
+        choose = RecStepEngine._runs_locally
+
+        def counted(df, *args, **kwargs):
+            calls.append(df)
+            return checkpoint(df, *args, **kwargs)
+
+        def observed(self, *args):
+            if not seen:
+                seen.append(len(calls))
+            return choose(self, *args)
+
+        monkeypatch.setattr(classic_df.DataFrame, "localCheckpoint", counted)
+        monkeypatch.setattr(RecStepEngine, "_runs_locally", observed)
+        return seen
+
+    def test_small_edb_enters_on_the_driver(self, spark, monkeypatch):
+        edb = spark_edb(spark, {"arc": CHAIN})
+        seen = self.checkpoints_before_round_1(monkeypatch)
+        eng = RecStepEngine(spark)
+        out = eng.evaluate(programs.get_program("tc"), edb)
+        monkeypatch.undo()
+        assert seen == [0]
+        assert eng.metrics.local_rounds == 10
+        assert_equivalent(out["tc"], TC_SQL, arc=CHAIN)
+
+    def test_duplicates_past_the_bound_take_the_spark_intake(self, spark, monkeypatch):
+        """36 raw rows pass ``local_rows`` = 30, their 9 distinct rows do
+        not: the EDB is checkpointed on Spark, and the first rounds still
+        run on the driver."""
+        arc = pd.concat([CHAIN] * 4, ignore_index=True)
+        edb = spark_edb(spark, {"arc": arc})
+        seen = self.checkpoints_before_round_1(monkeypatch)
+        eng = RecStepEngine(spark, EXECUTORS["mixed"])
+        out = eng.evaluate(programs.get_program("tc"), edb)
+        monkeypatch.undo()
+        assert seen == [1]
+        assert (eng.metrics.local_rounds, eng.metrics.iterations["tc"]) == (4, 10)
+        assert_equivalent(out["tc"], TC_SQL, arc=arc)
 
     def test_mixed_moves_to_spark_mid_stratum(self, spark):
         eng = RecStepEngine(spark, EXECUTORS["mixed"])
@@ -576,11 +661,39 @@ class TestRoundExecutors:
         assert eng.metrics.local_rounds == 1
         assert out["q"].count() == 40
 
+    TYPED = (
+        "q(x, y, s) :- e(x, y, s).\n"
+        "r(x + 1, y) :- e(x, y, _).\n"
+        "n(s) :- e(_, _, s)."
+    )
+
     def test_results_are_typed_spark_frames(self, spark, engine):
+        """Results, empty or driver-held, come back typed by their
+        schema. A driver-held one is a checkpoint of its Parquet handoff,
+        not a ``LocalRelation`` that re-ships its rows on each action,
+        and stays readable once a later evaluation has run and the first
+        one's files are deleted."""
         arc = spark.createDataFrame([], "src bigint, dst bigint")
         out = engine.evaluate(programs.get_program("tc"), {"arc": arc})
         assert out["tc"].dtypes == [("c0", "bigint"), ("c1", "bigint")]
         assert out["tc"].count() == 0
+
+        e = spark.createDataFrame(
+            [(1, 1.5, "a"), (2, 2.5, "b"), (2, 2.5, "b")], "x bigint, y double, s string"
+        )
+        first = engine.evaluate(parse_program(self.TYPED), {"e": e})
+        assert engine.metrics.local_rounds == 3
+        second = engine.evaluate(parse_program("p(x) :- e(x, _, _)."), {"e": e})
+        types = {"q": ("long", "double", "string"), "r": ("long", "double"),
+                 "n": ("string",), "p": ("long",)}
+        for p, df in (first | second).items():
+            assert df.dtypes == empty_relation(spark, types[p]).dtypes
+            plan = df._jdf.queryExecution().executedPlan().toString()
+            assert "LocalTableScan" not in plan and "FileScan" not in plan, plan
+        assert sorted(first["q"].collect()) == [(1, 1.5, "a"), (2, 2.5, "b")]
+        assert sorted(first["r"].collect()) == [(2, 1.5), (3, 2.5)]
+        assert sorted(first["n"].collect()) == [("a",), ("b",)]
+        assert sorted(second["p"].collect()) == [(1,), (2,)]
 
     def test_local_and_oracle_share_no_code(self):
         """``souffle_like`` stays an independent oracle of the driver
@@ -692,8 +805,10 @@ class TestReleasedStorage:
         out = eng.evaluate(programs.get_program("tc"), arc)
         assert len(held) == eng.metrics.iterations["tc"] == 41
         assert eng.metrics.local_rounds == (2 if name == "handoff" else 0)
-        # The EDB's checkpoint, R and ΔR, whatever the number of rounds.
+        # The EDB (a checkpoint, or for ``handoff`` the Parquet files it
+        # was handed to Spark as), R and ΔR, whatever the number of rounds.
         assert max(held) <= 3, held
-        # The EDB's checkpoint and R (EOST off: the checkpointed result).
+        # At most the EDB's checkpoint and R (EOST off: the checkpointed
+        # result); the EDB is released when the evaluation ends.
         assert persisted().size() - before <= 2
         assert_equivalent(out["tc"], TC_SQL, arc=self.LONG_CHAIN)

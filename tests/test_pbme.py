@@ -88,13 +88,13 @@ class TestPbmeResults:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_tc_matches_duckdb(self, spark, seed):
         arc = synth_data.gnp_arcs(n=60, p=0.04, seed=seed)
-        out = pbme.pbme_tc(spark, spark.createDataFrame(arc).toDF("c0", "c1"), 60)
+        out = pbme.pbme_tc(spark, arc.set_axis(["c0", "c1"], axis=1), 60)
         assert_equivalent(out, TC_SQL, arc=arc)
 
     def test_sg_matches_reference(self, spark):
         arc = synth_data.gnp_arcs(n=40, p=0.06, seed=3)
-        out = pbme.pbme_sg(spark, spark.createDataFrame(arc).toDF("c0", "c1"), 40)
-        got = set(map(tuple, out.collect()))
+        out = pbme.pbme_sg(spark, arc.set_axis(["c0", "c1"], axis=1), 40)
+        got = set(out.itertuples(index=False, name=None))
         assert got == ref_same_generation(arc)
 
     def test_engine_dispatches_pbme(self, spark):
@@ -129,8 +129,14 @@ class TestPbmeResults:
     def test_pbme_sg_empty_init(self, spark):
         # A pure chain has no two children of one parent -> sg is empty.
         arc = pd.DataFrame({"src": [0, 1, 2], "dst": [1, 2, 3]})
-        out = pbme.pbme_sg(spark, spark.createDataFrame(arc).toDF("c0", "c1"), 4)
-        assert out.count() == 0
+        out = pbme.pbme_sg(spark, arc.set_axis(["c0", "c1"], axis=1), 4)
+        assert out.empty
+        # The engine returns the empty result as a typed Spark frame.
+        eng = RecStepEngine(spark, RecStepOptions(pbme=True))
+        res = eng.evaluate(programs.get_program("sg"), {"arc": spark.createDataFrame(arc)})
+        assert eng.metrics.pbme_used
+        assert res["sg"].dtypes == [("c0", "bigint"), ("c1", "bigint")]
+        assert res["sg"].count() == 0
 
     def test_pbme_vs_relational_same_result(self, spark):
         arc = synth_data.rmat_arcs(n=32, edge_factor=2, seed=6)
@@ -142,3 +148,15 @@ class TestPbmeResults:
             programs.get_program("sg"), {"arc": spark.createDataFrame(arc)}
         )["sg"]
         assert sorted(map(tuple, rel.collect())) == sorted(map(tuple, bit.collect()))
+
+    def test_null_arcs_take_the_relational_path(self, spark):
+        arc = spark.createDataFrame([(0, 1), (1, 2), (2, None)], "src bigint, dst bigint")
+        eng = RecStepEngine(spark, RecStepOptions(pbme=True))
+        out = eng.evaluate(programs.get_program("tc"), {"arc": arc})
+        assert not eng.metrics.pbme_used
+        want = RecStepEngine(spark, RecStepOptions(local_rows=0)).evaluate(
+            programs.get_program("tc"), {"arc": arc}
+        )
+        assert sorted(map(tuple, out["tc"].collect()), key=repr) == sorted(
+            map(tuple, want["tc"].collect()), key=repr
+        )
